@@ -13,8 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import n_tangle, weight_sums
-from .purity import average_balanced_purity
+from .pauli import moebius_weight_sums, n_tangle, weight_sums
+from .purity import purity_report, subset_purities
+
+# Not called here since pi_ME comes from the purity table, but kept as a
+# module attribute: perfbench/spans.py wraps it under this name.
+from .purity import average_balanced_purity  # noqa: F401
 from .states import QState, make_basis_state, make_ghz, make_w, random_state
 
 SUPPORTED_N = (2, 4, 6, 8, 10, 12)
@@ -146,17 +150,39 @@ class KReport:
     provenance: str
 
 
+def _invariants(
+    state: QState, k_max: int, strategy: str, purities: np.ndarray | None = None
+) -> tuple[tuple[float, ...], float, float]:
+    """(M_1..M_k_max, tau, oracle pi_ME) of one state, from one purity table."""
+    if purities is None:
+        purities = subset_purities(state)
+    if not k_max:
+        m = ()
+    elif strategy == "moebius":
+        m = moebius_weight_sums(purities, k_max)
+    else:
+        m = weight_sums(state, k_max, strategy=strategy).m
+    return m, n_tangle(state), purity_report(purities).mean
+
+
 def evaluate(
-    model: DecompositionModel, state: QState, label: str = "state", strategy: str = "enumeration"
+    model: DecompositionModel,
+    state: QState,
+    label: str = "state",
+    strategy: str = "moebius",
+    purities: np.ndarray | None = None,
 ) -> KReport:
-    """Score a state: invariants, model K, oracle pi_ME, and their residual."""
+    """Score a state: invariants, model K, oracle pi_ME, and their residual.
+
+    The oracle pi_ME (and, under ``moebius``, every M_k) is read off the
+    state's ``subset_purities`` table; pass ``purities`` to reuse one
+    already computed.  ``enumeration`` sums the M_k over Pauli strings
+    instead, independently of the table.
+    """
     if model.n != state.n:
         raise ModelError(f"model for n={model.n} applied to n={state.n} state")
-    k_max = model.n // 2 - 1
-    m = weight_sums(state, k_max, strategy=strategy).m if k_max else ()
-    tau = n_tangle(state)
+    m, tau, oracle = _invariants(state, model.n // 2 - 1, strategy, purities)
     k_val = model.k_value(m, tau)
-    oracle = average_balanced_purity(state).mean
     return KReport(
         label=label,
         n=model.n,
@@ -197,7 +223,7 @@ def verify_identity(
     seed: int,
     tol: float,
     model: DecompositionModel | None = None,
-    strategy: str = "enumeration",
+    strategy: str = "moebius",
 ) -> VerificationSummary:
     """Check pi_ME = C + K on canonical plus Haar-random states."""
     if samples < 1:
@@ -240,12 +266,11 @@ class FitDiagnostics:
 
 
 def _feature_rows(n: int, states: Sequence[QState], strategy: str) -> tuple[np.ndarray, np.ndarray]:
-    k_max = n // 2 - 1
     rows, targets = [], []
     for state in states:
-        m = weight_sums(state, k_max, strategy=strategy).m if k_max else ()
-        rows.append([1.0, *m, n_tangle(state)])
-        targets.append(average_balanced_purity(state).mean)
+        m, tau, oracle = _invariants(state, n // 2 - 1, strategy)
+        rows.append([1.0, *m, tau])
+        targets.append(oracle)
     return np.array(rows), np.array(targets)
 
 
@@ -256,7 +281,7 @@ def fit_coefficients(
     holdout_samples: int = 100,
     snap: bool = True,
     snap_tol: float = 1e-8,
-    strategy: str | None = None,
+    strategy: str = "moebius",
 ) -> tuple[DecompositionModel, FitDiagnostics]:
     """Least-squares reconstruction of the C + K coefficients from the oracle.
 
@@ -271,8 +296,6 @@ def fit_coefficients(
     min_samples = 4 * (n // 2 + 2)
     if samples < min_samples:
         raise ModelError(f"need at least {min_samples} samples for n={n}")
-    if strategy is None:
-        strategy = "enumeration" if n <= 8 else "moebius"
 
     train = [random_state(n, _derived_seed(seed, i)) for i in range(samples)]
     x_train, y_train = _feature_rows(n, train, strategy)

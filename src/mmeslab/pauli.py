@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .purity import subset_purities
 from .states import QState, StateError
 
 IMAG_TOL = 1e-10
@@ -194,10 +195,8 @@ def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> Wei
     """M_k for k = 1..k_max, by direct enumeration or Moebius inversion.
 
     ``enumeration`` sums F_S over all C(n, k) subsets in lexicographic
-    order.  ``moebius`` derives the same sums from subset purities: with
-    G_m = sum over |A|=m of 2^m * purity(A) and M_0 = 1,
-
-        G_m = sum_{k<=m} C(n-k, m-k) * M_k.
+    order.  ``moebius`` derives the same sums from the subset-purity table
+    (see ``moebius_weight_sums``).
     """
     if not 1 <= k_max <= state.n:
         raise PauliError(f"k_max must be in [1, {state.n}], got {k_max}")
@@ -212,30 +211,28 @@ def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> Wei
             for k in range(1, k_max + 1)
         )
     elif strategy == "moebius":
-        m = _weight_sums_moebius(state, k_max)
+        m = moebius_weight_sums(subset_purities(state), k_max)
     else:
         raise PauliError(f"unknown strategy {strategy!r}")
     return WeightSums(state.n, m, strategy)
 
 
-def _weight_sums_moebius(state: QState, k_max: int) -> tuple[float, ...]:
-    from .purity import reduced_purity  # local import to avoid a cycle
+def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
+    """M_1..M_k_max from a ``subset_purities`` table by binomial Moebius inversion.
 
-    n = state.n
-    g = [1.0]  # G_0: the empty marginal has purity 1
-    for size in range(1, k_max + 1):
-        if size == n:
-            total = float(1 << n)  # the full "marginal" is the pure state itself
-        else:
-            total = (1 << size) * sum(
-                reduced_purity(state, positions)
-                for positions in combinations(range(1, n + 1), size)
-            )
-        g.append(total)
+    With G_m = sum over |A|=m of 2^m * purity(A) and M_0 = 1,
+
+        G_m = sum_{k<=m} C(n-k, m-k) * M_k.
+    """
+    n = purities.size.bit_length() - 1
+    if not 1 <= k_max <= n:
+        raise PauliError(f"k_max must be in [1, {n}], got {k_max}")
+    sizes = np.bitwise_count(np.arange(purities.size, dtype=np.uint32))
+    per_size = np.bincount(sizes, weights=purities, minlength=n + 1)
     m = [1.0]  # M_0 = F_empty = 1
     for size in range(1, k_max + 1):
-        acc = g[size] - sum(comb(n - k, size - k) * m[k] for k in range(size))
-        m.append(acc)
+        g = (1 << size) * float(per_size[size])
+        m.append(g - sum(comb(n - k, size - k) * m[k] for k in range(size)))
     return tuple(m[1:])
 
 

@@ -20,7 +20,7 @@ from .decomposition import (
     printed_model,
 )
 from .pauli import n_tangle, weight_sums
-from .purity import PurityReport, average_balanced_purity
+from .purity import PurityReport, average_balanced_purity, purity_report, subset_purities
 from .search import SearchResult
 from .states import QState, make_psi_m8
 
@@ -167,9 +167,10 @@ def invariants_results(
     if with_tangle and state.n % 2 == 0:
         results["n_tangle"] = n_tangle(state)
     if with_purity:
-        results["purity"] = purity_dict(average_balanced_purity(state))
+        purities = subset_purities(state)
+        results["purity"] = purity_dict(purity_report(purities))
     if with_purity and state.n in SUPPORTED_N:
-        report = evaluate(printed_model(state.n), state, label="input")
+        report = evaluate(printed_model(state.n), state, label="input", purities=purities)
         results["printed_model"] = k_report_dict(report)
         if abs(report.residual) > ERRATA_RESIDUAL_TOL:
             errata.append(
@@ -217,4 +218,4 @@ def psi_m8_audit(claim_tol: float = 1e-9) -> dict[str, Any]:
 
 
 def dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)

@@ -64,11 +64,16 @@ class SearchResult:
 
 
 def _bipartition_axes(n: int) -> list[tuple[list[int], np.ndarray]]:
-    """Per balanced subset: (transpose permutation, inverse permutation)."""
+    """Per balanced cut containing qubit 1: (transpose permutation, inverse).
+
+    The complementary cut is left out: ||M M^H||_F = ||M^H M||_F for any
+    matrix, so both sides of a cut give the same objective and gradient,
+    normalized vector or not.
+    """
     out = []
-    for subset in combinations(range(n), n // 2):
-        axes = list(subset)
-        rest = [q for q in range(n) if q not in subset]
+    for others in combinations(range(1, n), n // 2 - 1):
+        axes = [0, *others]
+        rest = [q for q in range(n) if q not in axes]
         perm = axes + rest
         out.append((perm, np.argsort(perm)))
     return out

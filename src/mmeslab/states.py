@@ -45,7 +45,7 @@ class QState:
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape}"
             )
         norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise StateError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -214,7 +214,7 @@ def load_state(source: str | os.PathLike, renormalize: bool = False) -> QState:
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise StateError(f"{source}: not a {STATE_FORMAT} document")
     n = doc.get("n")
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise StateError(f"{source}: bad qubit count {n!r}")
     pairs = doc.get("amplitudes")
     if not isinstance(pairs, list) or len(pairs) != (1 << n):
@@ -226,7 +226,7 @@ def load_state(source: str | os.PathLike, renormalize: bool = False) -> QState:
         raise StateError(f"{source}: bad amplitude entry: {exc}") from exc
     amps = arr[:, 0] + 1j * arr[:, 1]
     norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    if abs(norm - 1.0) > LOAD_NORM_TOL:
+    if not abs(norm - 1.0) <= LOAD_NORM_TOL:  # a NaN norm fails here
         if not renormalize:
             raise StateError(
                 f"{source}: norm {norm!r} deviates from 1 beyond {LOAD_NORM_TOL}"

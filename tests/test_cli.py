@@ -3,6 +3,7 @@ import json
 import pytest
 from jsonschema import validate
 
+from mmeslab import reports
 from mmeslab.cli import main
 from mmeslab.states import load_state
 
@@ -109,6 +110,28 @@ def test_invariants_malformed_input(tmp_path, capsys):
     code, _, err = run(capsys, "invariants", "--in", str(bad))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format": "mmeslab-state-v1", "n": 1, "amplitudes": [[NaN, 0], [0, 0]]}',
+        '{"format": "mmeslab-state-v1", "n": true, "amplitudes": [[1, 0], [0, 0]]}',
+    ],
+    ids=["nan-amplitude", "bool-n"],
+)
+def test_invariants_rejects_invalid_state(tmp_path, capsys, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, doc, err = run(capsys, "invariants", "--in", str(path))
+    assert code == 2
+    assert doc is None
+    assert "error" in err
+
+
+def test_report_json_refuses_nan():
+    with pytest.raises(ValueError):
+        reports.dumps({"value": float("nan")})
 
 
 def test_invariants_missing_file(capsys):

@@ -83,6 +83,15 @@ def test_ghz10_errata_residual():
     assert report.residual == pytest.approx(-0.1041666667, abs=1e-9)
 
 
+def test_evaluate_enumeration_at_n12():
+    # Pauli-side check of the weight-5 model, independent of the purity table
+    state = random_state(12, 1212)
+    enum = evaluate(printed_model(12), state, strategy="enumeration")
+    assert abs(enum.residual) <= 1e-9
+    table = evaluate(printed_model(12), state)
+    assert enum.m == pytest.approx(table.m, abs=1e-8)
+
+
 def test_verify_identity_pass_and_fail():
     assert verify_identity(4, samples=20, seed=1, tol=1e-9).passed
     assert verify_identity(2, samples=20, seed=2, tol=1e-10).passed

@@ -146,6 +146,21 @@ def test_n_tangle_examples():
     assert n_tangle(make_w(4)) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_spin_flip_identity(n):
+    # tau_n = 2^-n * sum_k (-1)^k M_k with M_0 = 1 (shadow enumerator): ties
+    # the n-tangle kernel to the purity-table weight sums
+    for state in (
+        make_basis_state(n, 0),
+        make_ghz(n),
+        make_w(n),
+        random_state(n, 500 + n),
+    ):
+        m = (1.0, *weight_sums(state, n, "moebius").m)
+        shadow = sum((-1) ** k * mk for k, mk in enumerate(m)) / 2**n
+        assert n_tangle(state) == pytest.approx(shadow, abs=1e-10)
+
+
 def test_n_tangle_rejects_odd_n():
     with pytest.raises(Exception):
         n_tangle(make_ghz(3))

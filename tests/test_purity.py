@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmeslab.purity import average_balanced_purity, reduced_purity
+from mmeslab.purity import average_balanced_purity, reduced_purity, subset_purities
 from mmeslab.states import (
     StateError,
     make_basis_state,
@@ -90,3 +90,28 @@ def test_odd_n_accepted_by_oracle():
     report = average_balanced_purity(make_ghz(5))
     assert report.n_a == 2
     assert report.count == comb(5, 2)
+
+
+def _positions(n, mask):
+    # bit n - k of a table mask stands for qubit k
+    return [k for k in range(1, n + 1) if mask >> (n - k) & 1]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_subset_purities_match_reduced_purity(n):
+    for state in (random_state(n, 400 + n), make_w(n)):
+        table = subset_purities(state)
+        assert table.shape == (1 << n,)
+        assert table[0] == table[-1] == 1.0
+        for mask in range(1, (1 << n) - 1):
+            expected = reduced_purity(state, _positions(n, mask))
+            assert table[mask] == pytest.approx(expected, abs=1e-12)
+
+
+def test_subset_purities_sample_at_n12():
+    state = random_state(12, 412)
+    table = subset_purities(state)
+    rng = np.random.default_rng(412)
+    for mask in rng.integers(1, (1 << 12) - 1, size=300):
+        expected = reduced_purity(state, _positions(12, int(mask)))
+        assert table[mask] == pytest.approx(expected, abs=1e-12)

@@ -95,6 +95,11 @@ def test_state_rejects_bad_norm():
         QState(2, np.array([1.0, 1.0, 0, 0]))
 
 
+def test_state_rejects_nan_amplitude():
+    with pytest.raises(StateError):
+        QState(1, [np.nan, 0.0])
+
+
 def test_state_rejects_bad_length():
     with pytest.raises(StateError):
         QState(2, np.ones(3) / math.sqrt(3))
