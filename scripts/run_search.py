@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Search for minimal-average-purity states and report against the model floor."""
 import argparse
+from collections import Counter
 from fractions import Fraction
 
 from mmeslab.decomposition import SUPPORTED_N, printed_model
@@ -25,6 +26,8 @@ def main():
     )
     print(f"n = {args.n}: best pi_ME = {result.best_value:.12f} "
           f"({result.wall_time:.1f} s over {args.restarts} restarts)")
+    print(f"restart stops: {dict(Counter(result.restart_stops))}, "
+          f"largest final gradient norm {max(result.restart_grad_norms):.1e}")
     if args.n in SUPPORTED_N:
         floor = Fraction(printed_model(args.n).constant)
         print(f"model floor C = {floor} = {float(floor):.12f}, "

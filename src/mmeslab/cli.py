@@ -44,13 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "for even-n qubit pure states.",
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker count (current operations run single-threaded "
-        "within this cap)",
-    )
-    parser.add_argument(
         "--pretty", action="store_true", help="also print tables to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -256,9 +249,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         return _HANDLERS[args.command](args, argv)
     except (StateError, SearchError, ValueError, OSError) as exc:

@@ -19,9 +19,20 @@ from .purity import purity_report, subset_purities
 # Not called here since pi_ME comes from the purity table, but kept as a
 # module attribute: perfbench/spans.py wraps it under this name.
 from .purity import average_balanced_purity  # noqa: F401
-from .states import QState, make_basis_state, make_ghz, make_w, random_state
+from .states import (
+    STREAM_MULTIPLIER,
+    QState,
+    make_basis_state,
+    make_ghz,
+    make_w,
+    random_state,
+)
 
 SUPPORTED_N = (2, 4, 6, 8, 10, 12)
+
+# Held-out fit states are the streams of seed + 0x5EED, written as streams
+# of seed so that every seed in range can be used.
+_HOLDOUT_STREAM = 0x5EED * STREAM_MULTIPLIER
 
 Coeff = Fraction | float
 
@@ -195,11 +206,6 @@ def evaluate(
     )
 
 
-def _derived_seed(seed: int, i: int) -> int:
-    # cheap splittable derivation; Philox keys are 128-bit so no wraparound
-    return seed * 0x9E3779B97F4A7C15 + i + 1
-
-
 def canonical_states(n: int) -> list[tuple[str, QState]]:
     return [
         ("product", make_basis_state(n, 0)),
@@ -233,7 +239,7 @@ def verify_identity(
         evaluate(model, state, label, strategy) for label, state in canonical_states(n)
     ]
     for i in range(samples):
-        state = random_state(n, _derived_seed(seed, i))
+        state = random_state(n, seed, i + 1)
         reports.append(evaluate(model, state, f"random[{i}]", strategy))
     worst = max(abs(r.residual) for r in reports)
     return VerificationSummary(
@@ -297,13 +303,13 @@ def fit_coefficients(
     if samples < min_samples:
         raise ModelError(f"need at least {min_samples} samples for n={n}")
 
-    train = [random_state(n, _derived_seed(seed, i)) for i in range(samples)]
+    train = [random_state(n, seed, i + 1) for i in range(samples)]
     x_train, y_train = _feature_rows(n, train, strategy)
     coeffs, _, rank, svals = np.linalg.lstsq(x_train, y_train, rcond=None)
     train_resid = float(np.max(np.abs(y_train - x_train @ coeffs)))
 
     held = [
-        random_state(n, _derived_seed(seed + 0x5EED, samples + i))
+        random_state(n, seed, _HOLDOUT_STREAM + samples + i + 1)
         for i in range(holdout_samples)
     ]
     x_hold, y_hold = _feature_rows(n, held, strategy)

@@ -22,7 +22,7 @@ from .decomposition import (
 from .pauli import n_tangle, weight_sums
 from .purity import PurityReport, average_balanced_purity, purity_report, subset_purities
 from .search import SearchResult
-from .states import QState, make_psi_m8
+from .states import QState, make_psi_m8, state_document
 
 REPORT_FORMAT = "mmeslab-report-v1"
 ERRATA_RESIDUAL_TOL = 1e-8
@@ -132,7 +132,6 @@ def audit_dict(rows: Sequence[AuditRow]) -> dict[str, Any]:
 
 
 def search_dict(result: SearchResult) -> dict[str, Any]:
-    best = result.best_state
     return {
         "n": result.config.n,
         "restarts": result.config.restarts,
@@ -140,12 +139,10 @@ def search_dict(result: SearchResult) -> dict[str, Any]:
         "best_pi_me": result.best_value,
         "restart_values": list(result.restart_values),
         "restart_iterations": list(result.restart_iterations),
+        "restart_stops": list(result.restart_stops),
+        "restart_grad_norms": list(result.restart_grad_norms),
         "wall_time_seconds": result.wall_time,
-        "best_state": {
-            "format": "mmeslab-state-v1",
-            "n": best.n,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in best.amplitudes],
-        },
+        "best_state": state_document(result.best_state),
     }
 
 

@@ -1,25 +1,55 @@
 """Numerical minimization of the balanced-bipartition average purity.
 
-Projected gradient descent on the unit sphere of the 2^(n+1) real amplitude
-parameters.  The objective is quartic in the amplitudes; per bipartition
-with reshaped amplitude matrix M the derivative with respect to conj(M) is
-2 * M M^H M, so the Euclidean gradient over the (re, im) parameter pairs is
-4 * M M^H M scattered back into flat index order.  The sphere constraint is
-handled by tangent-space projection plus renormalization, with Armijo
-backtracking.
+The oracle objective is pi_ME: the mean Gram-norm purity over the balanced
+cuts that contain qubit 1 (``purity._plan(n).cuts``).  The complementary
+side of a cut is left out, since ||M M^H||_F = ||M^H M||_F for any matrix.
+The objective is quartic in the amplitudes: per cut with reshaped amplitude
+matrix M the derivative with respect to conj(M) is 2 M M^H M, so the
+Euclidean gradient over the (re, im) parameter pairs is 4 M M^H M scattered
+back into flat index order.  One batched kernel gathers every cut matrix
+through a cached index table and forms the stacked Gram matrices, in blocks
+of at most ``_BLOCK_AMPS`` gathered amplitudes.
+
+Each restart runs a two-loop L-BFGS (Nocedal & Wright, Numerical
+Optimization, Alg. 7.4) on the real view of z with the scale-invariant
+F(z) = f(z/|z|), so there is no sphere constraint and no step-size setting.
+Steps come from a backtracking sufficient-decrease search that starts at
+t = 1.  A restart stops when the tangent gradient at z/|z| is within
+``grad_tol`` ("converged"), at ``max_iters`` steps ("iteration cap"), or
+when no trial step decreases F ("line search exhausted").
 """
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .pauli import PauliString, _I_POWERS, _indices, _signs
-from .purity import average_balanced_purity
-from .states import QState, _normalized, random_state
+from .purity import _plan, average_balanced_purity
+from .states import QState, StateError, _normalized, check_seed, random_state
+
+# Gathered amplitudes per kernel block: a whole n <= 8 objective is one
+# block, while n = 10 and 12 stay memory bounded (blocks of 32 and 8 cuts).
+_BLOCK_AMPS = 1 << 15
+
+_MEMORY = 8  # L-BFGS correction pairs kept
+_DECREASE_C = 1e-4  # sufficient-decrease constant of the line search
+_MAX_BACKTRACKS = 40  # halvings of t before the line search gives up
+# Slack in the decrease test, in units of |F|: a restart already at its
+# minimum otherwise rejects every step over roundoff of a few ulp.
+_ROUNDOFF = 8 * np.finfo(np.float64).eps
+
+# A stream per restart, derived from the config seed (see ``random_state``).
+_RESTART_STREAM = 0xC0FFEE
+
+STOP_CONVERGED = "converged"
+STOP_ITERATION_CAP = "iteration cap"
+STOP_LINE_SEARCH = "line search exhausted"
 
 
 class SearchError(ValueError):
@@ -32,11 +62,6 @@ class SearchConfig:
     restarts: int = 16
     max_iters: int = 2000
     grad_tol: float = 1e-9
-    step_init: float = 0.5
-    step_shrink: float = 0.5
-    step_grow: float = 1.5
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
     seed: int = 0
     objective: str = "oracle"  # "oracle" | "model"
 
@@ -47,10 +72,14 @@ class SearchConfig:
             raise SearchError(f"search capped at n = 12, got {self.n}")
         if self.restarts < 1 or self.max_iters < 1:
             raise SearchError("restarts and max_iters must be >= 1")
-        if min(self.grad_tol, self.step_init, self.step_shrink) <= 0:
-            raise SearchError("tolerances and step controls must be positive")
+        if not self.grad_tol > 0:
+            raise SearchError(f"grad_tol must be positive, got {self.grad_tol!r}")
         if self.objective not in ("oracle", "model"):
             raise SearchError(f"unknown objective {self.objective!r}")
+        try:
+            check_seed(self.seed)
+        except StateError as exc:
+            raise SearchError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -60,53 +89,61 @@ class SearchResult:
     best_value: float  # oracle pi_ME of the best state
     restart_values: tuple[float, ...]
     restart_iterations: tuple[int, ...]
+    restart_stops: tuple[str, ...]  # one of the STOP_* reasons per restart
+    restart_grad_norms: tuple[float, ...]  # final tangent-gradient norm
     wall_time: float
 
 
-def _bipartition_axes(n: int) -> list[tuple[list[int], np.ndarray]]:
-    """Per balanced cut containing qubit 1: (transpose permutation, inverse).
+@lru_cache(maxsize=None)
+def _cut_gather(n: int) -> np.ndarray:
+    """Row c holds the flat amplitude indices of cut c's 2^(n/2) x 2^(n/2)
+    matrix in row-major order, one row per cut of ``purity._plan(n)``.
 
-    The complementary cut is left out: ||M M^H||_F = ||M^H M||_F for any
-    matrix, so both sides of a cut give the same objective and gradient,
-    normalized vector or not.
+    Each row is a permutation of range(2^n), so the same table scatters the
+    gradient back (``put_along_axis``).
     """
-    out = []
-    for others in combinations(range(1, n), n // 2 - 1):
-        axes = [0, *others]
-        rest = [q for q in range(n) if q not in axes]
-        perm = axes + rest
-        out.append((perm, np.argsort(perm)))
-    return out
+    cuts = _plan(n).cuts
+    base = np.arange(1 << n, dtype=np.int32).reshape((2,) * n)
+    table = np.empty((len(cuts), 1 << n), dtype=np.int32)
+    for row, perm in zip(table, cuts):
+        row[:] = base.transpose(perm).reshape(-1)
+    table.setflags(write=False)
+    return table
 
 
 def _oracle_objective_and_grad(
-    amps: np.ndarray, n: int, parts, with_grad: bool = True
+    amps: np.ndarray, with_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
     """Mean Gram-norm purity over balanced bipartitions, for the raw
     (unnormalized) vector, plus its Euclidean real-parameter gradient in
     complex form (real part = d/d re, imag part = d/d im)."""
+    n = amps.size.bit_length() - 1
+    gather = _cut_gather(n)
+    count, dim = gather.shape
     half = 1 << (n // 2)
+    step = max(1, _BLOCK_AMPS // dim)
     value = 0.0
     grad = np.zeros_like(amps) if with_grad else None
-    ten = amps.reshape((2,) * n)
-    for perm, inv in parts:
-        mat = ten.transpose(perm).reshape(half, half)
-        gram = mat @ mat.conj().T
-        value += float(np.sum(np.abs(gram) ** 2))
+    for start in range(0, count, step):
+        idx = gather[start : start + step]
+        mats = amps[idx].reshape(-1, half, half)
+        grams = mats @ mats.conj().transpose(0, 2, 1)
+        value += float(np.vdot(grams, grams).real)
         if with_grad:
-            gmat = 4.0 * (gram @ mat)
-            grad += gmat.reshape((2,) * n).transpose(inv).reshape(amps.size)
-    count = len(parts)
+            scattered = np.empty(idx.shape, dtype=amps.dtype)
+            np.put_along_axis(scattered, idx, (grams @ mats).reshape(idx.shape), axis=1)
+            grad += scattered.sum(axis=0)
     if with_grad:
-        grad /= count
+        grad *= 4.0 / count
     return value / count, grad
 
 
 def objective_value(amps: np.ndarray, n: int) -> float:
     """Raw oracle objective on an arbitrary (not necessarily unit) vector."""
-    value, _ = _oracle_objective_and_grad(
-        np.asarray(amps, dtype=np.complex128), n, _bipartition_axes(n), with_grad=False
-    )
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.shape != (1 << n,):
+        raise SearchError(f"expected {1 << n} amplitudes for n={n}, got {amps.shape}")
+    value, _ = _oracle_objective_and_grad(amps, with_grad=False)
     return value
 
 
@@ -134,7 +171,7 @@ def _make_model_objective(n: int, model) -> Callable:
     c_tau = float(model.tau_coeff)
     const = float(model.constant) + float(model.tau_offset)
 
-    def objective(amps: np.ndarray, _n: int, _parts, with_grad: bool = True):
+    def objective(amps: np.ndarray, with_grad: bool = True):
         value = const
         grad = np.zeros_like(amps) if with_grad else None
         conj_a = np.conj(amps)
@@ -159,9 +196,8 @@ def gradient_check(n: int, seed: int, step: float = 1e-5) -> float:
     differences over all 2^(n+1) real parameters at a Haar-random point."""
     if n % 2 or n < 2 or n > 6:
         raise SearchError(f"gradient_check supports even n in [2, 6], got {n}")
-    parts = _bipartition_axes(n)
     amps = random_state(n, seed).amplitudes.copy()
-    _, grad = _oracle_objective_and_grad(amps, n, parts)
+    _, grad = _oracle_objective_and_grad(amps)
     analytic = np.concatenate([grad.real, grad.imag])
     dim = amps.size
     worst = 0.0
@@ -171,49 +207,93 @@ def gradient_check(n: int, seed: int, step: float = 1e-5) -> float:
             delta[j] = step
         else:
             delta[j - dim] = 1j * step
-        f_plus, _ = _oracle_objective_and_grad(amps + delta, n, parts, with_grad=False)
-        f_minus, _ = _oracle_objective_and_grad(amps - delta, n, parts, with_grad=False)
+        f_plus, _ = _oracle_objective_and_grad(amps + delta, with_grad=False)
+        f_minus, _ = _oracle_objective_and_grad(amps - delta, with_grad=False)
         worst = max(worst, abs((f_plus - f_minus) / (2 * step) - analytic[j]))
     return worst
 
 
+def _scale_free(objective: Callable, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """F(x) = f(x/|x|) over the real parameters x, its gradient, and the
+    norm of f's tangent gradient at the unit vector u = x/|x|.
+
+    dF/dx = (I - u u^T) grad f(u) / |x|, which is orthogonal to x.
+    """
+    r = float(np.linalg.norm(x))
+    u = x / r
+    f, g = objective(u.view(np.complex128))
+    g = g.view(np.float64)
+    g = g - float(np.dot(u, g)) * u
+    g_norm = float(np.linalg.norm(g))
+    return f, g / r, g_norm
+
+
+def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """H g for the L-BFGS inverse-Hessian estimate H of the stored (s, y)
+    pairs, with the initial scaling s.y / y.y of the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
 def _run_restart(
-    n: int, seed: int, cfg: SearchConfig, parts, objective: Callable
-) -> tuple[np.ndarray, float, int]:
-    x = random_state(n, seed).amplitudes.copy()
-    f, g = objective(x, n, parts)
-    eta = cfg.step_init
+    x: np.ndarray, cfg: SearchConfig, objective: Callable
+) -> tuple[np.ndarray, float, int, str, float]:
+    """L-BFGS from the unit vector x (complex amplitudes).  Returns the
+    final unit vector, its objective value, the steps taken, the stop
+    reason and the final tangent-gradient norm."""
+    x = x.view(np.float64).copy()
+    f, g, g_norm = _scale_free(objective, x)
+    pairs: deque = deque(maxlen=_MEMORY)
     iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        # tangent projection on the real sphere ||x|| = 1
-        radial = float(np.real(np.vdot(x, g)))
-        gt = g - radial * x
-        gt_sq = float(np.real(np.vdot(gt, gt)))
-        if gt_sq <= cfg.grad_tol**2:
+    while True:
+        if g_norm <= cfg.grad_tol:
+            stop = STOP_CONVERGED
             break
-        accepted = False
-        for _ in range(cfg.max_backtracks):
-            cand = x - eta * gt
-            cand /= np.linalg.norm(cand)
-            f_cand, _ = objective(cand, n, parts, with_grad=False)
-            if f_cand <= f - cfg.armijo_c * eta * gt_sq:
-                x, f = cand, f_cand
-                _, g = objective(x, n, parts)
-                eta = min(eta * cfg.step_grow, 10.0)
-                accepted = True
+        if iters == cfg.max_iters:
+            stop = STOP_ITERATION_CAP
+            break
+        d = -_two_loop(g, pairs)
+        slope = float(np.dot(g, d))
+        if not slope < 0:  # not a descent direction: restart the memory
+            pairs.clear()
+            d = -g
+            slope = -float(np.dot(g, g))
+        bound = f + _ROUNDOFF * abs(f)
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x + t * d
+            f_new, g_new, g_norm_new = _scale_free(objective, x_new)
+            if f_new <= bound + _DECREASE_C * t * slope:
                 break
-            eta *= cfg.step_shrink
-        if not accepted:
-            break  # line search exhausted; this restart is done
-    return x, f, iters
+            t *= 0.5
+        else:
+            stop = STOP_LINE_SEARCH
+            break
+        s, y = x_new - x, g_new - g
+        sy = float(np.dot(s, y))
+        if sy > np.finfo(np.float64).eps * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            pairs.append((s, y, 1.0 / sy))
+        x, f, g, g_norm = x_new, f_new, g_new, g_norm_new
+        iters += 1
+    x /= np.linalg.norm(x)
+    return x.view(np.complex128), f, iters, stop, g_norm
 
 
 def minimize_average_purity(config: SearchConfig) -> SearchResult:
-    """Multi-restart projected gradient descent; deterministic for a fixed
-    config.  The returned best value is always the oracle pi_ME of the best
-    state, regardless of the objective used during descent."""
+    """Multi-restart L-BFGS; deterministic for a fixed config.  The returned
+    best value is always the oracle pi_ME of the best state, regardless of
+    the objective used during descent."""
     n = config.n
-    parts = _bipartition_axes(n)
     if config.objective == "model":
         from .decomposition import printed_model
 
@@ -221,13 +301,15 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
     else:
         objective = _oracle_objective_and_grad
     t0 = time.perf_counter()
-    values, iterations = [], []
+    values, iterations, stops, grad_norms = [], [], [], []
     best_x, best_f = None, np.inf
     for r in range(config.restarts):
-        restart_seed = config.seed * 0x9E3779B97F4A7C15 + 0xC0FFEE + r
-        x, f, iters = _run_restart(n, restart_seed, config, parts, objective)
+        start = random_state(n, config.seed, _RESTART_STREAM + r).amplitudes
+        x, f, iters, stop, g_norm = _run_restart(start, config, objective)
         values.append(f)
         iterations.append(iters)
+        stops.append(stop)
+        grad_norms.append(g_norm)
         if f < best_f:
             best_x, best_f = x, f
     best_state = _normalized(n, best_x)
@@ -241,5 +323,7 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
         best_value=best_value,
         restart_values=tuple(values),
         restart_iterations=tuple(iterations),
+        restart_stops=tuple(stops),
+        restart_grad_norms=tuple(grad_norms),
         wall_time=time.perf_counter() - t0,
     )

@@ -20,8 +20,12 @@ import numpy as np
 NORM_TOL = 1e-12
 LOAD_NORM_TOL = 1e-6
 MAX_QUBITS = 16
+SEED_LIMIT = 1 << 64
 
 STATE_FORMAT = "mmeslab-state-v1"
+
+# Spreads one seed into many Philox keys, one per stream (``random_state``).
+STREAM_MULTIPLIER = 0x9E3779B97F4A7C15
 
 
 class StateError(ValueError):
@@ -37,6 +41,9 @@ class QState:
     meta: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise StateError(f"qubit count must be an int, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not (1 <= self.n <= MAX_QUBITS):
             raise StateError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -131,15 +138,33 @@ def make_psi_m8() -> QState:
     return _normalized(8, raw, meta={"raw_norm": raw_norm})
 
 
-def random_state(n: int, seed: int) -> QState:
-    """Haar-random pure state, deterministic for a fixed (n, seed).
+def check_seed(seed: int) -> int:
+    """``seed`` itself if it is an int in [0, 2**64); otherwise a StateError
+    that names it.  Every seed a caller passes in is checked here."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise StateError(f"seed {seed!r} is not an integer")
+    if not 0 <= seed < SEED_LIMIT:
+        raise StateError(f"seed {seed} is outside [0, 2**64)")
+    return int(seed)
 
-    Uses a counter-based generator (Philox) so derived parallel streams
-    stay reproducible across thread counts.
+
+def random_state(n: int, seed: int, stream: int | None = None) -> QState:
+    """Haar-random pure state, deterministic for a fixed (n, seed, stream).
+
+    Uses a counter-based generator (Philox).  Its key is ``seed`` itself,
+    or ``seed * STREAM_MULTIPLIER + stream`` for one of many states drawn
+    from one seed (samples, restarts).  ``seed`` must lie in [0, 2**64)
+    (``check_seed``) and ``stream`` in [0, 2**126), which keeps the key
+    below Philox's 2**128 limit.
     """
     if n < 1:
         raise StateError(f"need n >= 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    key = check_seed(seed)
+    if stream is not None:
+        if type(stream) is not int or not 0 <= stream < 1 << 126:
+            raise StateError(f"stream {stream!r} is not an integer in [0, 2**126)")
+        key = key * STREAM_MULTIPLIER + stream
+    rng = np.random.Generator(np.random.Philox(key=key))
     x = rng.standard_normal(1 << (n + 1))
     amps = x[: 1 << n] + 1j * x[1 << n :]
     return _normalized(n, amps)
@@ -179,13 +204,18 @@ def apply_local_unitaries(state: QState, unitaries: Iterable[np.ndarray]) -> QSt
     return out
 
 
-def save_state(state: QState, destination: str | os.PathLike) -> None:
-    """Write a mmeslab-state-v1 file (atomic: temp file + rename)."""
-    doc = {
+def state_document(state: QState) -> dict:
+    """The mmeslab-state-v1 document of a state, as ``load_state`` reads it."""
+    return {
         "format": STATE_FORMAT,
         "n": state.n,
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
+
+
+def save_state(state: QState, destination: str | os.PathLike) -> None:
+    """Write a mmeslab-state-v1 file (atomic: temp file + rename)."""
+    doc = state_document(state)
     destination = os.fspath(destination)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(destination)) or ".", suffix=".tmp"

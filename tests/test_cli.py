@@ -166,6 +166,25 @@ def test_search_command(capsys):
     result = doc["results"]
     assert result["best_pi_me"] == pytest.approx(0.5, abs=1e-6)
     validate(result["best_state"], STATE_SCHEMA)
+    assert result["restart_stops"] == ["converged", "converged"]
+    assert max(result["restart_grad_norms"]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["state", "--kind", "random", "--n", "4", "--seed", "-1", "--out", "x.json"], "-1"),
+        (["search", "--n", "2", "--seed", str(2**64)], str(2**64)),
+    ],
+    ids=["state-negative", "search-2**64"],
+)
+def test_seed_out_of_range(tmp_path, monkeypatch, capsys, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    code, doc, err = run(capsys, *argv)
+    assert code == 2
+    assert doc is None
+    assert f"seed {seed} " in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_audit_command(capsys):
@@ -181,13 +200,6 @@ def test_pretty_goes_to_stderr(capsys):
     code, doc, err = run(capsys, "--pretty", "audit")
     assert code == 0
     assert "required tau" in err
-
-
-def test_threads_flag_validation(capsys):
-    code, _, _ = run(capsys, "--threads", "0", "audit")
-    assert code == 2
-    code, _, _ = run(capsys, "--threads", "4", "audit")
-    assert code == 0
 
 
 def test_floats_roundtrip_through_report(tmp_path, capsys):

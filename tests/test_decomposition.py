@@ -18,7 +18,7 @@ from mmeslab.decomposition import (
     verify_identity,
 )
 from mmeslab.pauli import n_tangle, weight_sums
-from mmeslab.states import make_basis_state, make_ghz, random_state
+from mmeslab.states import StateError, make_basis_state, make_ghz, random_state
 
 
 def test_printed_model_rationals():
@@ -121,6 +121,14 @@ def test_fit_recovers_n4_model():
 def test_fit_rejects_underdetermined():
     with pytest.raises(ModelError):
         fit_coefficients(4, samples=5, seed=0)
+
+
+def test_fit_and_verify_seed_range():
+    # the held-out streams of the largest seed still form valid keys
+    _, diag = fit_coefficients(4, samples=24, seed=2**64 - 1, holdout_samples=2)
+    assert diag.holdout_max_residual <= 1e-9
+    with pytest.raises(StateError, match="seed -1 "):
+        verify_identity(4, samples=1, seed=-1, tol=1e-9)
 
 
 def test_snap_rational():

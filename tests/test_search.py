@@ -4,8 +4,11 @@ import pytest
 from mmeslab.pauli import n_tangle
 from mmeslab.purity import average_balanced_purity
 from mmeslab.search import (
+    STOP_CONVERGED,
+    STOP_ITERATION_CAP,
     SearchConfig,
     SearchError,
+    _oracle_objective_and_grad,
     gradient_check,
     minimize_average_purity,
     objective_value,
@@ -24,14 +27,31 @@ def test_config_validation():
         SearchConfig(n=4, grad_tol=0.0)
     with pytest.raises(SearchError):
         SearchConfig(n=4, objective="annealing")
+    for seed in (-1, 2**64, True, 1.5):
+        with pytest.raises(SearchError, match="seed"):
+            SearchConfig(n=4, seed=seed)
 
 
 def test_objective_matches_oracle_on_unit_states():
-    for n, seed in [(2, 1), (4, 2), (6, 3)]:
+    # n = 10 and 12 run the kernel over several blocks of cuts
+    for n, seed in [(2, 1), (4, 2), (6, 3), (8, 4), (10, 5), (12, 6)]:
         state = random_state(n, seed)
         assert objective_value(state.amplitudes, n) == pytest.approx(
             average_balanced_purity(state).mean, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_gradient_directional_derivative(n):
+    # gradient_check covers n <= 6, where every cut fits in one block
+    amps = random_state(n, 20 + n).amplitudes.copy()
+    direction = random_state(n, 40 + n).amplitudes
+    _, grad = _oracle_objective_and_grad(amps)
+    h = 1e-5
+    f_plus, _ = _oracle_objective_and_grad(amps + h * direction, with_grad=False)
+    f_minus, _ = _oracle_objective_and_grad(amps - h * direction, with_grad=False)
+    analytic = np.real(np.vdot(grad, direction))
+    assert (f_plus - f_minus) / (2 * h) == pytest.approx(analytic, abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -57,6 +77,18 @@ def test_search_result_contract():
     assert result.best_value >= 2.0 ** -(cfg.n // 2) - 1e-9
     assert abs(np.sum(np.abs(result.best_state.amplitudes) ** 2) - 1) <= 1e-10
     assert len(result.restart_iterations) == cfg.restarts
+    assert len(result.restart_stops) == len(result.restart_grad_norms) == cfg.restarts
+
+
+def test_restart_stop_reasons():
+    cfg = SearchConfig(n=6, restarts=32, max_iters=3000, seed=0)
+    result = minimize_average_purity(cfg)
+    assert set(result.restart_stops) == {STOP_CONVERGED}
+    assert max(result.restart_grad_norms) <= cfg.grad_tol
+    capped = minimize_average_purity(SearchConfig(n=6, restarts=3, max_iters=1, seed=0))
+    assert capped.restart_stops == (STOP_ITERATION_CAP,) * 3
+    assert capped.restart_iterations == (1, 1, 1)
+    assert min(capped.restart_grad_norms) > capped.config.grad_tol
 
 
 def test_search_deterministic():

@@ -72,6 +72,24 @@ def test_random_state_deterministic():
 
 def test_random_state_seed_zero_valid():
     random_state(3, 0)
+    random_state(3, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 2.0, "7"])
+def test_random_state_rejects_bad_seed(seed):
+    with pytest.raises(StateError, match=f"seed {seed!r}"):
+        random_state(3, seed)
+
+
+def test_random_state_stream_key():
+    # stream s of seed k draws from Philox key k * 0x9E3779B97F4A7C15 + s
+    rng = np.random.Generator(np.random.Philox(key=3 * 0x9E3779B97F4A7C15 + 5))
+    x = rng.standard_normal(32)
+    expected = (x[:16] + 1j * x[16:]) / np.linalg.norm(x)
+    np.testing.assert_allclose(random_state(4, 3, 5).amplitudes, expected, rtol=0, atol=1e-15)
+    for stream in (-1, 2**126, True):
+        with pytest.raises(StateError, match="stream"):
+            random_state(4, 3, stream)
 
 
 def test_conjugate():
@@ -98,6 +116,17 @@ def test_state_rejects_bad_norm():
 def test_state_rejects_nan_amplitude():
     with pytest.raises(StateError):
         QState(1, [np.nan, 0.0])
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1", None])
+def test_state_rejects_non_int_qubit_count(n):
+    with pytest.raises(StateError, match="qubit count"):
+        QState(n, [1.0, 0.0])
+
+
+def test_state_accepts_numpy_int_qubit_count():
+    state = QState(np.int64(1), [1.0, 0.0])
+    assert state.n == 1 and type(state.n) is int
 
 
 def test_state_rejects_bad_length():
