@@ -4,7 +4,7 @@ import argparse
 from collections import Counter
 from fractions import Fraction
 
-from mmeslab.decomposition import SUPPORTED_N, printed_model
+from mmeslab.decomposition import printed_model
 from mmeslab.pauli import n_tangle
 from mmeslab.search import SearchConfig, minimize_average_purity
 from mmeslab.states import save_state
@@ -28,10 +28,9 @@ def main():
           f"({result.wall_time:.1f} s over {args.restarts} restarts)")
     print(f"restart stops: {dict(Counter(result.restart_stops))}, "
           f"largest final gradient norm {max(result.restart_grad_norms):.1e}")
-    if args.n in SUPPORTED_N:
-        floor = Fraction(printed_model(args.n).constant)
-        print(f"model floor C = {floor} = {float(floor):.12f}, "
-              f"gap = {result.best_value - float(floor):.3e}")
+    floor = Fraction(printed_model(args.n).constant)
+    print(f"model floor C = {floor} = {float(floor):.12f}, "
+          f"gap = {result.best_value - float(floor):.3e}")
     print(f"n-tangle of best state = {n_tangle(result.best_state):.6e}")
     if args.out:
         save_state(result.best_state, args.out)

@@ -217,8 +217,8 @@ def _cmd_search(args, argv) -> int:
         },
         results=reports.search_dict(result),
     )
-    floor = float(printed_model(args.n).constant) if args.n in SUPPORTED_N else None
-    lines = [f"best pi_ME = {result.best_value}" + (f"  (model floor {floor})" if floor else "")]
+    floor = float(printed_model(args.n).constant)
+    lines = [f"best pi_ME = {result.best_value}  (model floor {floor})"]
     _emit(doc, lines, args.pretty)
     return EXIT_OK
 

@@ -78,6 +78,28 @@ class DecompositionModel:
     def predict(self, m: Sequence[float], tau: float) -> float:
         return float(self.constant) + self.k_value(m, tau)
 
+    def size_weights(self) -> tuple[Fraction, ...]:
+        """Exact lambda_0..lambda_{n/2} such that, on every unit vector,
+
+            C + K = lambda_0 + sum_{m>=1} lambda_m * mean_{|A|=m} P(A).
+
+        With S_m the sum of P(A) over |A| = m (S_0 = 1), pure states have
+        M_k = sum_{m<=k} (-1)^(k-m) C(n-m, k-m) 2^m S_m (the inverse of
+        ``moebius_weight_sums``) and tau = sum_{m=0}^{n} (-1)^m S_m with
+        S_m = S_{n-m} (the shadow identity; Rains, IEEE TIT 45, 2361 (1999)).
+        Since P(A) = P(A^c), the size-n/2 mean may run over the cuts that
+        contain qubit 1 only.  A correct model is pi_ME itself: (0, ..., 0, 1).
+        """
+        n = self.n
+        per_sum = [Fraction(0)] * (n // 2 + 1)  # coefficient of S_m
+        per_sum[0] = Fraction(self.constant) + Fraction(self.tau_offset)
+        for k, coeff in enumerate(self.weight_coeffs, start=1):
+            for m in range(k + 1):
+                per_sum[m] += Fraction(coeff) * (-1) ** (k - m) * comb(n - m, k - m) * 2**m
+        for m in range(n + 1):
+            per_sum[min(m, n - m)] += Fraction(self.tau_coeff) * (-1) ** m
+        return tuple(c * comb(n, m) for m, c in enumerate(per_sum))
+
 
 _PRINTED: dict[int, DecompositionModel] = {
     2: DecompositionModel(
@@ -229,18 +251,15 @@ def verify_identity(
     seed: int,
     tol: float,
     model: DecompositionModel | None = None,
-    strategy: str = "moebius",
 ) -> VerificationSummary:
     """Check pi_ME = C + K on canonical plus Haar-random states."""
     if samples < 1:
         raise ModelError(f"need samples >= 1, got {samples}")
     model = model if model is not None else printed_model(n)
-    reports = [
-        evaluate(model, state, label, strategy) for label, state in canonical_states(n)
-    ]
+    reports = [evaluate(model, state, label) for label, state in canonical_states(n)]
     for i in range(samples):
         state = random_state(n, seed, i + 1)
-        reports.append(evaluate(model, state, f"random[{i}]", strategy))
+        reports.append(evaluate(model, state, f"random[{i}]"))
     worst = max(abs(r.residual) for r in reports)
     return VerificationSummary(
         n=n, tol=tol, reports=tuple(reports), max_abs_residual=worst, passed=worst <= tol
@@ -248,11 +267,12 @@ def verify_identity(
 
 
 SNAP_DENOMINATOR_CAP = 10**6
+SNAP_TOL = 1e-8
 
 
-def snap_rational(x: float, cap: int = SNAP_DENOMINATOR_CAP) -> Fraction:
+def snap_rational(x: float) -> Fraction:
     """Nearest small-denominator rational via continued fractions."""
-    return Fraction(x).limit_denominator(cap)
+    return Fraction(x).limit_denominator(SNAP_DENOMINATOR_CAP)
 
 
 @dataclass(frozen=True)
@@ -267,14 +287,14 @@ class FitDiagnostics:
     null_space_dim: int
     training_max_residual: float
     holdout_max_residual: float
-    holdout_max_residual_snapped: float | None
+    holdout_max_residual_snapped: float
     snapped: bool
 
 
-def _feature_rows(n: int, states: Sequence[QState], strategy: str) -> tuple[np.ndarray, np.ndarray]:
+def _feature_rows(n: int, states: Sequence[QState]) -> tuple[np.ndarray, np.ndarray]:
     rows, targets = [], []
     for state in states:
-        m, tau, oracle = _invariants(state, n // 2 - 1, strategy)
+        m, tau, oracle = _invariants(state, n // 2 - 1, "moebius")
         rows.append([1.0, *m, tau])
         targets.append(oracle)
     return np.array(rows), np.array(targets)
@@ -285,9 +305,6 @@ def fit_coefficients(
     samples: int,
     seed: int,
     holdout_samples: int = 100,
-    snap: bool = True,
-    snap_tol: float = 1e-8,
-    strategy: str = "moebius",
 ) -> tuple[DecompositionModel, FitDiagnostics]:
     """Least-squares reconstruction of the C + K coefficients from the oracle.
 
@@ -295,7 +312,7 @@ def fit_coefficients(
     excluded by construction because purity identities make it linearly
     dependent on the rest.  Near-rational coefficients are snapped to
     small-denominator fractions and kept only if the held-out residual does
-    not degrade beyond ``snap_tol``.
+    not degrade beyond ``SNAP_TOL``.
     """
     if n not in SUPPORTED_N:
         raise ModelError(f"fit supports n in {SUPPORTED_N}, got {n}")
@@ -304,7 +321,7 @@ def fit_coefficients(
         raise ModelError(f"need at least {min_samples} samples for n={n}")
 
     train = [random_state(n, seed, i + 1) for i in range(samples)]
-    x_train, y_train = _feature_rows(n, train, strategy)
+    x_train, y_train = _feature_rows(n, train)
     coeffs, _, rank, svals = np.linalg.lstsq(x_train, y_train, rcond=None)
     train_resid = float(np.max(np.abs(y_train - x_train @ coeffs)))
 
@@ -312,20 +329,15 @@ def fit_coefficients(
         random_state(n, seed, _HOLDOUT_STREAM + samples + i + 1)
         for i in range(holdout_samples)
     ]
-    x_hold, y_hold = _feature_rows(n, held, strategy)
+    x_hold, y_hold = _feature_rows(n, held)
     hold_resid = float(np.max(np.abs(y_hold - x_hold @ coeffs)))
 
-    snapped_vec = None
-    hold_resid_snapped = None
-    if snap:
-        candidate = np.array([float(snap_rational(c)) for c in coeffs])
-        hold_resid_snapped = float(np.max(np.abs(y_hold - x_hold @ candidate)))
-        if hold_resid_snapped <= max(hold_resid, snap_tol):
-            snapped_vec = [snap_rational(c) for c in coeffs]
+    candidate = [snap_rational(c) for c in coeffs]
+    snapped_pred = x_hold @ np.array([float(c) for c in candidate])
+    hold_resid_snapped = float(np.max(np.abs(y_hold - snapped_pred)))
+    snapped = hold_resid_snapped <= max(hold_resid, SNAP_TOL)
 
-    use: list[Coeff] = (
-        list(snapped_vec) if snapped_vec is not None else [float(c) for c in coeffs]
-    )
+    use: list[Coeff] = candidate if snapped else [float(c) for c in coeffs]
     c0, wcs, c_tau = use[0], tuple(use[1:-1]), use[-1]
     # Anchor the constant at the published C so fitted K values compare
     # directly with the paper's tables; the leftover lands in tau_offset.
@@ -351,7 +363,7 @@ def fit_coefficients(
         training_max_residual=train_resid,
         holdout_max_residual=hold_resid,
         holdout_max_residual_snapped=hold_resid_snapped,
-        snapped=snapped_vec is not None,
+        snapped=snapped,
     )
     return model, diag
 
@@ -419,7 +431,6 @@ class AuditRow:
     n: int
     constant: Fraction
     required_tau: int  # tau value forced at K = 0 by the sign of tau_coeff
-    floor: Fraction  # theoretical pi_ME floor C
 
 
 def conjecture_audit(n_list: Sequence[int] = SUPPORTED_N) -> list[AuditRow]:
@@ -433,11 +444,6 @@ def conjecture_audit(n_list: Sequence[int] = SUPPORTED_N) -> list[AuditRow]:
         model = printed_model(n)
         required = 1 if model.tau_coeff < 0 else 0
         rows.append(
-            AuditRow(
-                n=n,
-                constant=Fraction(model.constant),
-                required_tau=required,
-                floor=Fraction(model.constant),
-            )
+            AuditRow(n=n, constant=Fraction(model.constant), required_tau=required)
         )
     return rows

@@ -73,21 +73,19 @@ def k_report_dict(report: KReport) -> dict[str, Any]:
     }
 
 
-def purity_dict(report: PurityReport, include_all: bool = True) -> dict[str, Any]:
-    doc = {
+def purity_dict(report: PurityReport) -> dict[str, Any]:
+    return {
         "n": report.n,
         "n_a": report.n_a,
         "bipartition_count": report.count,
         "pi_me_mean": report.mean,
         "pi_a_min": report.min,
         "pi_a_max": report.max,
-    }
-    if include_all:
-        doc["bipartitions"] = [
+        "bipartitions": [
             {"part_a": list(s), "purity": p}
             for s, p in zip(report.subsets, report.purities)
-        ]
-    return doc
+        ],
+    }
 
 
 def verification_dict(summary: VerificationSummary) -> dict[str, Any]:
@@ -124,7 +122,6 @@ def audit_dict(rows: Sequence[AuditRow]) -> dict[str, Any]:
                 "n": row.n,
                 "constant": _coeff(row.constant),
                 "required_tau_at_k_zero": row.required_tau,
-                "pi_me_floor": _coeff(row.floor),
             }
             for row in rows
         ]

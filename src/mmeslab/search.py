@@ -1,14 +1,18 @@
 """Numerical minimization of the balanced-bipartition average purity.
 
-The oracle objective is pi_ME: the mean Gram-norm purity over the balanced
-cuts that contain qubit 1 (``purity._plan(n).cuts``).  The complementary
-side of a cut is left out, since ||M M^H||_F = ||M^H M||_F for any matrix.
-The objective is quartic in the amplitudes: per cut with reshaped amplitude
-matrix M the derivative with respect to conj(M) is 2 M M^H M, so the
-Euclidean gradient over the (re, im) parameter pairs is 4 M M^H M scattered
-back into flat index order.  One batched kernel gathers every cut matrix
-through a cached index table and forms the stacked Gram matrices, in blocks
-of at most ``_BLOCK_AMPS`` gathered amplitudes.
+Both objectives are built on one kernel: the mean Gram-norm purity over the
+qubit subsets of one size.  The oracle objective is pi_ME, that kernel at
+size n/2 over the cuts that contain qubit 1; the complementary side of a cut
+is left out, since ||M M^H||_F = ||M^H M||_F for any matrix.  The "model"
+objective is the printed C + K, which on unit vectors is exactly a constant
+plus a weighted sum of the kernel at each size
+(``DecompositionModel.size_weights``).  The kernel is quartic in the
+amplitudes: per subset with reshaped amplitude matrix M the derivative with
+respect to conj(M) is 2 M M^H M, so the Euclidean gradient over the
+(re, im) parameter pairs is 4 M M^H M scattered back into flat index order.
+It gathers every subset's matrix through a cached index table and forms the
+stacked Gram matrices, in blocks of at most ``_BLOCK_AMPS`` gathered
+amplitudes.
 
 Each restart runs a two-loop L-BFGS (Nocedal & Wright, Numerical
 Optimization, Alg. 7.4) on the real view of z with the scale-invariant
@@ -24,17 +28,16 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .pauli import PauliString, _I_POWERS, _indices, _signs
-from .purity import _plan, average_balanced_purity
+from .purity import average_balanced_purity
 from .states import QState, StateError, _normalized, check_seed, random_state
 
-# Gathered amplitudes per kernel block: a whole n <= 8 objective is one
-# block, while n = 10 and 12 stay memory bounded (blocks of 32 and 8 cuts).
+# Gathered amplitudes per kernel block: a whole n <= 8 kernel call is one
+# block, while n = 10 and 12 stay memory bounded (blocks of 32 and 8 subsets).
 _BLOCK_AMPS = 1 << 15
 
 _MEMORY = 8  # L-BFGS correction pairs kept
@@ -95,38 +98,42 @@ class SearchResult:
 
 
 @lru_cache(maxsize=None)
-def _cut_gather(n: int) -> np.ndarray:
-    """Row c holds the flat amplitude indices of cut c's 2^(n/2) x 2^(n/2)
-    matrix in row-major order, one row per cut of ``purity._plan(n)``.
+def _cut_gather(n: int, size: int) -> np.ndarray:
+    """Row c holds the flat amplitude indices of the c-th qubit subset of
+    ``size`` qubits (lexicographic), as its 2^size x 2^(n-size) matrix in
+    row-major order.  At 2 * size = n only the cuts that contain qubit 1 are
+    kept, since a cut and its complement have the same purity.
 
     Each row is a permutation of range(2^n), so the same table scatters the
     gradient back (``put_along_axis``).
     """
-    cuts = _plan(n).cuts
+    subsets = [
+        axes for axes in combinations(range(n), size) if 2 * size < n or axes[0] == 0
+    ]
     base = np.arange(1 << n, dtype=np.int32).reshape((2,) * n)
-    table = np.empty((len(cuts), 1 << n), dtype=np.int32)
-    for row, perm in zip(table, cuts):
+    table = np.empty((len(subsets), 1 << n), dtype=np.int32)
+    for row, axes in zip(table, subsets):
+        perm = axes + tuple(q for q in range(n) if q not in axes)
         row[:] = base.transpose(perm).reshape(-1)
     table.setflags(write=False)
     return table
 
 
-def _oracle_objective_and_grad(
-    amps: np.ndarray, with_grad: bool = True
+def _mean_purity_and_grad(
+    amps: np.ndarray, size: int, with_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
-    """Mean Gram-norm purity over balanced bipartitions, for the raw
-    (unnormalized) vector, plus its Euclidean real-parameter gradient in
-    complex form (real part = d/d re, imag part = d/d im)."""
+    """Mean Gram-norm purity over the subsets of ``size`` qubits (size <= n/2),
+    for the raw (unnormalized) vector, plus its Euclidean real-parameter
+    gradient in complex form (real part = d/d re, imag part = d/d im)."""
     n = amps.size.bit_length() - 1
-    gather = _cut_gather(n)
+    gather = _cut_gather(n, size)
     count, dim = gather.shape
-    half = 1 << (n // 2)
     step = max(1, _BLOCK_AMPS // dim)
     value = 0.0
     grad = np.zeros_like(amps) if with_grad else None
     for start in range(0, count, step):
         idx = gather[start : start + step]
-        mats = amps[idx].reshape(-1, half, half)
+        mats = amps[idx].reshape(-1, 1 << size, 1 << (n - size))
         grams = mats @ mats.conj().transpose(0, 2, 1)
         value += float(np.vdot(grams, grams).real)
         if with_grad:
@@ -138,6 +145,13 @@ def _oracle_objective_and_grad(
     return value / count, grad
 
 
+def _oracle_objective_and_grad(
+    amps: np.ndarray, with_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """pi_ME of the raw vector and its gradient: the kernel at size n/2."""
+    return _mean_purity_and_grad(amps, (amps.size.bit_length() - 1) // 2, with_grad)
+
+
 def objective_value(amps: np.ndarray, n: int) -> float:
     """Raw oracle objective on an arbitrary (not necessarily unit) vector."""
     amps = np.asarray(amps, dtype=np.complex128)
@@ -147,45 +161,23 @@ def objective_value(amps: np.ndarray, n: int) -> float:
     return value
 
 
-def _model_string_masks(n: int, k_max: int) -> list[tuple[int, int, int]]:
-    masks = []
-    for k in range(1, k_max + 1):
-        for positions in combinations(range(1, n + 1), k):
-            for letters in product("xyz", repeat=k):
-                masks.append(PauliString(n, dict(zip(positions, letters))).masks())
-    return masks
-
-
-def _make_model_objective(n: int, model) -> Callable:
-    """C + K as a descent objective.  Far slower per iteration than the
-    oracle at large n (it walks every Pauli string up to weight n/2 - 1);
-    exposed because the model value is the quantity the identities bound."""
-    masks = _model_string_masks(n, n // 2 - 1)
-    idx = _indices(n)
-    comp = idx ^ np.uint32((1 << n) - 1)
-    tau_phases = _I_POWERS[n % 4] * _signs(idx, (1 << n) - 1)
-    weight_coeff = []
-    for flip, phase, ny in masks:
-        k = bin(flip | phase).count("1")  # weight of the string
-        weight_coeff.append(float(model.weight_coeffs[k - 1]))
-    c_tau = float(model.tau_coeff)
-    const = float(model.constant) + float(model.tau_offset)
+def _make_model_objective(model) -> Callable:
+    """C + K as a descent objective: exact on unit vectors, where it equals
+    lambda_0 + sum_m lambda_m * (kernel at size m) for the model's
+    ``size_weights``.  A correct model has the single weight lambda_{n/2} = 1
+    and descends exactly as the oracle does."""
+    weights = model.size_weights()
+    const = float(weights[0])
+    terms = [(size, float(w)) for size, w in enumerate(weights) if size and w]
 
     def objective(amps: np.ndarray, with_grad: bool = True):
         value = const
         grad = np.zeros_like(amps) if with_grad else None
-        conj_a = np.conj(amps)
-        for (flip, phase, ny), coeff in zip(masks, weight_coeff):
-            gathered = amps[idx ^ np.uint32(flip)]
-            col = _I_POWERS[ny % 4] * _signs(idx ^ np.uint32(flip), phase) * gathered
-            exp = float(np.real(np.dot(conj_a, col)))
-            value += coeff * exp * exp
+        for size, weight in terms:
+            purity, purity_grad = _mean_purity_and_grad(amps, size, with_grad)
+            value += weight * purity
             if with_grad:
-                grad += coeff * (4.0 * exp) * col
-        v = np.dot(tau_phases, conj_a * conj_a[comp])
-        value += c_tau * float(abs(v) ** 2)
-        if with_grad:
-            grad += c_tau * 2.0 * (2.0 * np.conj(v) * tau_phases * conj_a[comp])
+                grad += weight * purity_grad
         return value, grad
 
     return objective
@@ -297,7 +289,7 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
     if config.objective == "model":
         from .decomposition import printed_model
 
-        objective = _make_model_objective(n, printed_model(n))
+        objective = _make_model_objective(printed_model(n))
     else:
         objective = _oracle_objective_and_grad
     t0 = time.perf_counter()

@@ -170,6 +170,16 @@ def test_search_command(capsys):
     assert max(result["restart_grad_norms"]) <= 1e-9
 
 
+def test_search_command_model_objective_n10(capsys):
+    code, doc, _ = run(
+        capsys, "search", "--n", "10", "--objective", "model", "--restarts", "1",
+        "--max-iters", "20",
+    )
+    assert code == 0
+    assert doc["results"]["objective"] == "model"
+    assert doc["inputs"]["objective"] == "model"
+
+
 @pytest.mark.parametrize(
     "argv, seed",
     [

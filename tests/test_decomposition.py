@@ -49,6 +49,22 @@ def test_printed_model_rationals():
     assert m12.tau_coeff == Fraction(1, 924)
 
 
+def test_size_weights_of_printed_models():
+    # a correct table is pi_ME itself: the single weight lambda_{n/2} = 1
+    for n in (2, 4, 6, 8, 12):
+        assert printed_model(n).size_weights() == (0,) * (n // 2) + (1,)
+    # the n=10 weight-4 erratum (2/2016 printed, 1/2016 correct) leaks into
+    # every smaller size
+    assert printed_model(10).size_weights() == (
+        Fraction(5, 48),
+        Fraction(-5, 6),
+        Fraction(5, 2),
+        Fraction(-10, 3),
+        Fraction(5, 3),
+        Fraction(1),
+    )
+
+
 def test_printed_model_unsupported():
     with pytest.raises(ModelError):
         printed_model(14)
@@ -95,7 +111,7 @@ def test_evaluate_enumeration_at_n12():
 def test_verify_identity_pass_and_fail():
     assert verify_identity(4, samples=20, seed=1, tol=1e-9).passed
     assert verify_identity(2, samples=20, seed=2, tol=1e-10).passed
-    summary = verify_identity(10, samples=5, seed=3, tol=1e-9, strategy="moebius")
+    summary = verify_identity(10, samples=5, seed=3, tol=1e-9)
     assert not summary.passed
     assert summary.max_abs_residual >= 0.05
 
@@ -153,10 +169,10 @@ def test_conjecture_audit_rows():
     rows = {row.n: row for row in conjecture_audit()}
     assert rows[4].required_tau == 0
     assert rows[10].required_tau == 1
-    assert rows[10].floor == Fraction(13, 336)
-    assert Fraction(1, 32) < rows[10].floor < Fraction(1, 16)
+    assert rows[10].constant == Fraction(13, 336)
+    assert Fraction(1, 32) < rows[10].constant < Fraction(1, 16)
     assert rows[12].required_tau == 0
-    assert rows[12].floor == Fraction(157, 7392)
+    assert rows[12].constant == Fraction(157, 7392)
     assert rows[2].required_tau == 1
     assert rows[6].required_tau == 1
     assert rows[8].required_tau == 0

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from mmeslab.pauli import n_tangle
+from mmeslab.decomposition import evaluate, printed_model
+from mmeslab.pauli import n_tangle, weight_sums
 from mmeslab.purity import average_balanced_purity
 from mmeslab.search import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
     SearchConfig,
     SearchError,
+    _make_model_objective,
     _oracle_objective_and_grad,
     gradient_check,
     minimize_average_purity,
@@ -52,6 +54,48 @@ def test_gradient_directional_derivative(n):
     f_minus, _ = _oracle_objective_and_grad(amps - h * direction, with_grad=False)
     analytic = np.real(np.vdot(grad, direction))
     assert (f_plus - f_minus) / (2 * h) == pytest.approx(analytic, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_model_objective_is_c_plus_k_on_unit_states(n):
+    model = printed_model(n)
+    objective = _make_model_objective(model)
+    for seed in (1, 2):
+        state = random_state(n, 300 + 10 * n + seed)
+        value, _ = objective(state.amplitudes, with_grad=False)
+        report = evaluate(model, state)
+        assert value == pytest.approx(report.pi_me_oracle - report.residual, abs=1e-12)
+        if n == 8:
+            # independent Pauli-side value of C + K
+            m = weight_sums(state, n // 2 - 1, "enumeration").m
+            assert value == pytest.approx(model.predict(m, n_tangle(state)), abs=1e-12)
+
+
+def test_model_gradient_directional_derivative_n10():
+    # n=10 is the one printed model with weight at every size
+    objective = _make_model_objective(printed_model(10))
+    amps = random_state(10, 1010).amplitudes.copy()
+    direction = random_state(10, 1011).amplitudes.copy()
+    direction -= np.real(np.vdot(amps, direction)) * amps  # tangent at amps
+    _, grad = objective(amps)
+    h = 1e-5
+    f_plus, _ = objective(amps + h * direction, with_grad=False)
+    f_minus, _ = objective(amps - h * direction, with_grad=False)
+    analytic = np.real(np.vdot(grad, direction))
+    assert (f_plus - f_minus) / (2 * h) == pytest.approx(analytic, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_model_search_matches_oracle_search(n):
+    # the printed n=4 and n=6 models are exactly pi_ME, so the descents agree
+    runs = [
+        minimize_average_purity(
+            SearchConfig(n=n, restarts=4, max_iters=300, seed=5, objective=objective)
+        )
+        for objective in ("oracle", "model")
+    ]
+    assert runs[0].restart_values == runs[1].restart_values
+    assert runs[0].restart_iterations == runs[1].restart_iterations
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
