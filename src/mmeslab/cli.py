@@ -217,8 +217,8 @@ def _cmd_search(args, argv) -> int:
         },
         results=reports.search_dict(result),
     )
-    floor = float(printed_model(args.n).constant)
-    lines = [f"best pi_ME = {result.best_value}  (model floor {floor})"]
+    constant = float(printed_model(args.n).constant)
+    lines = [f"best pi_ME = {result.best_value}  (printed constant C = {constant})"]
     _emit(doc, lines, args.pretty)
     return EXIT_OK
 

@@ -8,21 +8,30 @@ equal to the number of y letters:
     sigma_p |i> = i^{n_y} * (-1)^{popcount(i & phase_mask)} |i ^ flip_mask>
 
 so an expectation value is a single gather + signed dot product, O(2^n).
+
+The weight sums M_k are the coefficients of the quantum weight enumerator.
+For a flip mask f, the products b_f[i] = conj(a[i ^ f]) * a[i] are shared by
+all 2^n phase masks z, so one Walsh-Hadamard transform of b_f gives every
+<P_{f,z}>; binning <P>^2 by the weight popcount(f | z) gives the M_k.
+``f_invariant`` is the per-string reference path for that transform.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .purity import subset_purities
-from .states import QState, StateError
+from .states import QState
 
 IMAG_TOL = 1e-10
+
+# Flip masks are transformed together up to this many amplitudes (one mask at n=12).
+_BLOCK_AMPS = 1 << 12
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
@@ -105,9 +114,9 @@ def expectation(state: QState, p: PauliString) -> float:
 def f_invariant(state: QState, subset: Iterable[int]) -> float:
     """F_S: sum of squared expectations over all 3^|S| letter assignments.
 
-    Reference implementation (per-string loop in lexicographic letter
-    order); ``weight_sums`` uses a batched kernel cross-checked against
-    this one.
+    Reference path: one ``expectation`` per string, in lexicographic letter
+    order.  ``weight_sums(..., "enumeration")`` gets the same squares from
+    one Walsh-Hadamard transform per flip mask and is tested against this.
     """
     positions = sorted(set(subset))
     if not positions:
@@ -120,62 +129,48 @@ def f_invariant(state: QState, subset: Iterable[int]) -> float:
     return total
 
 
-def _f_invariant_batched(state: QState, positions: Sequence[int]) -> float:
-    """F_S via one gather per flip set and a Walsh-Hadamard pass.
+@lru_cache(maxsize=None)
+def _hadamard(bits: int) -> np.ndarray:
+    """Read-only Sylvester matrix H[x, y] = (-1)^popcount(x & y), 2^bits square."""
+    idx = _indices(bits)
+    h = 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx) & 1)
+    h.flags.writeable = False
+    return h
 
-    For a fixed set T of flipping positions (x or y; z on S\\T) the products
-    conj(a[i^f])*a[i] are shared by all 2^|T| placements of y, whose phase
-    masks differ only inside S; grouping indices by their S-bits reduces all
-    those expectations to one length-2^|S| Hadamard transform.
+
+def _weight_enumerator(state: QState, k_max: int) -> np.ndarray:
+    """M_w = sum of <P>^2 over the Pauli strings P of weight w, for w = 1..k_max.
+
+    A string with flip mask f and phase mask z has weight popcount(f | z) and
+    <P_{f,z}> = i^popcount(f & z) * (H b_f)[z], where b_f[i] =
+    conj(a[i ^ f]) * a[i] and H is the Walsh-Hadamard transform over i, done
+    as two small real matmuls.  Only flip masks with popcount(f) <= k_max can
+    reach weight k_max, and they are transformed in blocks of at most
+    ``_BLOCK_AMPS`` amplitudes.
     """
-    n, k = state.n, len(positions)
+    n = state.n
     a = state.amplitudes
-    axes = [p - 1 for p in positions]
-    rest = [q for q in range(n) if q not in axes]
     idx = _indices(n)
-    full = (1 << k) - 1
-    total = 0.0
+    flips = idx[np.bitwise_count(idx) <= k_max]
+    h_hi, h_lo = _hadamard((n + 1) // 2), _hadamard(n // 2)
+    per_block = max(1, _BLOCK_AMPS >> n)
+    sums = np.zeros(n + 1)
     worst_imag = 0.0
-    for t_pat in range(1 << k):
-        flip = 0
-        for j in range(k):
-            if (t_pat >> (k - 1 - j)) & 1:
-                flip |= _bit(n, positions[j])
-        b = np.conj(a[idx ^ np.uint32(flip)]) * a
-        t = (
-            b.reshape((2,) * n)
-            .transpose(axes + rest)
-            .reshape(1 << k, 1 << (n - k))
-            .sum(axis=1)
+    for start in range(0, flips.size, per_block):
+        f = flips[start : start + per_block, None]
+        b = np.conj(a[idx ^ f]) * a
+        parts = np.stack((b.real, b.imag)).reshape(2, f.size, h_hi.shape[0], -1)
+        h_re, h_im = (h_hi @ parts @ h_lo).reshape(2, f.size, -1)
+        # i^{n_y} with n_y odd swaps the real and imaginary parts (up to sign)
+        odd = (np.bitwise_count(f & idx) & 1).astype(bool)
+        real = np.where(odd, h_im, h_re)
+        worst_imag = max(worst_imag, float(np.abs(np.where(odd, h_re, h_im)).max()))
+        sums += np.bincount(
+            np.bitwise_count(f | idx).ravel(), weights=(real * real).ravel(), minlength=n + 1
         )
-        h = _fwht(t)
-        z_pat = full & ~t_pat
-        # iterate the y placements inside the flip set in increasing order
-        y_pat = 0
-        while True:
-            val = _I_POWERS[int(y_pat).bit_count() % 4] * h[y_pat | z_pat]
-            worst_imag = max(worst_imag, abs(val.imag))
-            total += val.real * val.real
-            if y_pat == t_pat:
-                break
-            y_pat = (y_pat - t_pat) & t_pat  # next subset of t_pat
     if worst_imag > IMAG_TOL:
-        raise PauliError(f"non-Hermitian residue {worst_imag!r} in F_S kernel")
-    return total
-
-
-def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place-free Walsh-Hadamard transform: out[q] = sum_j (-1)^{|j&q|} v[j]."""
-    out = v.copy()
-    h = 1
-    while h < out.size:
-        out = out.reshape(-1, 2, h)
-        top, bot = out[:, 0, :].copy(), out[:, 1, :].copy()
-        out[:, 0, :] = top + bot
-        out[:, 1, :] = top - bot
-        out = out.reshape(-1)
-        h *= 2
-    return out
+        raise PauliError(f"non-Hermitian residue {worst_imag!r} in the weight enumerator")
+    return sums[1 : k_max + 1]
 
 
 @dataclass(frozen=True)
@@ -192,24 +187,18 @@ class WeightSums:
 
 
 def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> WeightSums:
-    """M_k for k = 1..k_max, by direct enumeration or Moebius inversion.
+    """M_k for k = 1..k_max, from the Pauli side or by Moebius inversion.
 
-    ``enumeration`` sums F_S over all C(n, k) subsets in lexicographic
-    order.  ``moebius`` derives the same sums from the subset-purity table
-    (see ``moebius_weight_sums``).
+    ``enumeration`` squares every Pauli expectation of weight <= k_max: one
+    Walsh-Hadamard transform per flip mask f with popcount(f) <= k_max, binned
+    by popcount(f | z) (see ``_weight_enumerator``).  ``moebius`` derives the
+    same sums from the subset-purity table (see ``moebius_weight_sums``).  The
+    two share no code and cross-check each other.
     """
     if not 1 <= k_max <= state.n:
         raise PauliError(f"k_max must be in [1, {state.n}], got {k_max}")
     if strategy == "enumeration":
-        m = tuple(
-            float(
-                sum(
-                    _f_invariant_batched(state, positions)
-                    for positions in combinations(range(1, state.n + 1), k)
-                )
-            )
-            for k in range(1, k_max + 1)
-        )
+        m = tuple(_weight_enumerator(state, k_max).tolist())
     elif strategy == "moebius":
         m = moebius_weight_sums(subset_purities(state), k_max)
     else:

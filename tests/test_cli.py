@@ -180,6 +180,15 @@ def test_search_command_model_objective_n10(capsys):
     assert doc["inputs"]["objective"] == "model"
 
 
+def test_pretty_search_labels_printed_constant(capsys):
+    code, _, err = run(
+        capsys, "--pretty", "search", "--n", "6", "--restarts", "1", "--max-iters", "5"
+    )
+    assert code == 0
+    assert "printed constant C = 0.125" in err
+    assert "floor" not in err
+
+
 @pytest.mark.parametrize(
     "argv, seed",
     [

@@ -1,12 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmeslab import pauli
 from mmeslab.pauli import (
     PauliError,
     PauliString,
-    _f_invariant_batched,
     expectation,
     f_invariant,
     n_tangle,
@@ -89,12 +91,26 @@ def test_f_invariant_rejects_bad_subset():
         f_invariant(make_ghz(4), {0})
 
 
-def test_f_invariant_batched_matches_naive():
-    state = random_state(6, 21)
-    for subset in [(1,), (4,), (2, 5), (1, 3, 6), (2, 3, 4, 5)]:
-        naive = f_invariant(state, subset)
-        fast = _f_invariant_batched(state, subset)
-        assert fast == pytest.approx(naive, abs=1e-10)
+@pytest.mark.parametrize("n", [4, 6])
+def test_enumeration_matches_f_invariant_reference(n):
+    # the one-transform kernel against the per-string reference, weight by weight
+    for state in (make_basis_state(n, 0), make_ghz(n), make_w(n), random_state(n, 21)):
+        m = weight_sums(state, n, "enumeration").m
+        for k in range(1, n + 1):
+            reference = sum(
+                f_invariant(state, subset)
+                for subset in combinations(range(1, n + 1), k)
+            )
+            assert m[k - 1] == pytest.approx(reference, abs=1e-10)
+
+
+def test_hermitian_residue_guard(monkeypatch):
+    monkeypatch.setattr(pauli, "IMAG_TOL", -1.0)
+    state = random_state(4, 3)
+    with pytest.raises(PauliError, match="non-Hermitian"):
+        weight_sums(state, 2, "enumeration")
+    with pytest.raises(PauliError, match="non-Hermitian"):
+        expectation(state, PauliString(4, {1: "x", 2: "y"}))
 
 
 def test_weight_sums_product():
@@ -146,19 +162,30 @@ def test_n_tangle_examples():
     assert n_tangle(make_w(4)) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
-def test_spin_flip_identity(n):
+@pytest.mark.parametrize(
+    "n, strategy",
+    [pytest.param(n, "moebius", id=str(n)) for n in (2, 4, 6, 8, 10, 12)]
+    + [pytest.param(n, "enumeration", id=f"{n}-enumeration") for n in (2, 4, 6, 8, 10)],
+)
+def test_spin_flip_identity(n, strategy):
     # tau_n = 2^-n * sum_k (-1)^k M_k with M_0 = 1 (shadow enumerator): ties
-    # the n-tangle kernel to the purity-table weight sums
+    # the n-tangle kernel to the weight sums of either strategy
     for state in (
         make_basis_state(n, 0),
         make_ghz(n),
         make_w(n),
         random_state(n, 500 + n),
     ):
-        m = (1.0, *weight_sums(state, n, "moebius").m)
+        m = (1.0, *weight_sums(state, n, strategy).m)
         shadow = sum((-1) ** k * mk for k, mk in enumerate(m)) / 2**n
         assert n_tangle(state) == pytest.approx(shadow, abs=1e-10)
+
+
+def test_enumeration_all_weights_n10():
+    state = random_state(10, 610)
+    enum = weight_sums(state, 10, "enumeration").m
+    assert sum(enum) == pytest.approx(2**10 - 1, abs=1e-8)
+    assert enum == pytest.approx(weight_sums(state, 10, "moebius").m, abs=1e-8)
 
 
 def test_n_tangle_rejects_odd_n():
