@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
@@ -253,6 +253,8 @@ def verify_identity(
     model: DecompositionModel | None = None,
 ) -> VerificationSummary:
     """Check pi_ME = C + K on canonical plus Haar-random states."""
+    if not 0 <= tol < inf:  # written so that a NaN tol fails
+        raise ModelError(f"tol must be a finite number >= 0, got {tol!r}")
     if samples < 1:
         raise ModelError(f"need samples >= 1, got {samples}")
     model = model if model is not None else printed_model(n)

@@ -25,13 +25,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .purity import subset_purities
+from .purity import _BLOCK_AMPS, subset_purities
 from .states import QState
 
 IMAG_TOL = 1e-10
-
-# Flip masks are transformed together up to this many amplitudes (one mask at n=12).
-_BLOCK_AMPS = 1 << 12
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 

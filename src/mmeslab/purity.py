@@ -4,6 +4,8 @@ This is the ground-truth side of every identity check in the package: it
 reshapes the amplitude vector and works with Gram matrices, never touching
 the Pauli kernel.  ``subset_purities`` computes the purity of every subset
 in one pass; pi_ME and every weight sum M_k are linear in that table.
+Every cut purity, here and in both search objectives, comes from one kernel,
+``_gram_blocks``, which gathers cut matrices through per-cut offsets.
 """
 from __future__ import annotations
 
@@ -36,16 +38,11 @@ def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
         raise StateError(f"positions {positions} out of range for n={n}")
     axes = [p - 1 for p in positions]
     rest = [q for q in range(n) if q not in axes]
-    a = len(axes)
-    mat = (
-        state.amplitudes.reshape((2,) * n)
-        .transpose(axes + rest)
-        .reshape(1 << a, 1 << (n - a))
-    )
-    if a <= n - a:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
+    ten = state.amplitudes.reshape((2,) * n)
+    mat = ten.transpose(axes + rest).reshape(1 << len(axes), -1)
+    if 2 * len(axes) > n:
+        mat = mat.T
+    gram = mat @ mat.conj().T
     purity = float(np.sum(np.abs(gram) ** 2))
     if purity > 1.0 + PURITY_TOL or purity < -PURITY_TOL:
         raise StateError(f"purity {purity!r} outside [0, 1] beyond tolerance")
@@ -55,6 +52,42 @@ def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
 def _mask(n: int, axes: Iterable[int]) -> int:
     # axis q holds qubit q + 1, which is bit n - 1 - q of a mask
     return sum(1 << (n - 1 - q) for q in axes)
+
+
+# Gathered amplitudes per block of cuts (and of flip masks in ``pauli``);
+# larger blocks made the n = 12 table slower and raised its peak RSS.
+_BLOCK_AMPS = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _offsets(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of the Gram kernel's cuts at one size: every
+    subset of ``size`` qubits, lexicographic, but at 2 * size >= n only those
+    that contain qubit 1, since P(A) = P(A^c).  Cut c's 2^size x 2^(n - size)
+    matrix has the flat amplitude indices ``rows[c][:, None] | cols[c]``."""
+    base = np.arange(1 << n).reshape((2,) * n)
+    cuts = [a for a in combinations(range(n), size) if 2 * size < n or a[0] == 0]
+    rows = np.empty((len(cuts), 1 << size), dtype=np.intp)
+    cols = np.empty((len(cuts), 1 << (n - size)), dtype=np.intp)
+    for axes, row, col in zip(cuts, rows, cols):
+        rest = tuple(q for q in range(n) if q not in axes)
+        mat = base.transpose(axes + rest).reshape(row.size, col.size)
+        row[:], col[:] = mat[:, 0], mat[0]
+    for part in (rows, cols):
+        part.setflags(write=False)
+    return rows, cols
+
+
+def _gram_blocks(amps: np.ndarray, size: int):
+    """Per block of the cuts of ``_offsets``: their flat indices ``idx``, the
+    matrices ``mats = amps[idx]`` and the Gram matrices ``mats @ mats^H``."""
+    n = amps.size.bit_length() - 1
+    rows, cols = _offsets(n, size)
+    step = max(1, _BLOCK_AMPS >> n)
+    for start in range(0, len(rows), step):
+        idx = rows[start : start + step, :, None] | cols[start : start + step, None, :]
+        mats = amps[idx]
+        yield idx, mats, mats @ mats.conj().transpose(0, 2, 1)
 
 
 def _trace_subscripts(h: int, keep: tuple[int, ...]) -> str:
@@ -68,8 +101,7 @@ def _trace_subscripts(h: int, keep: tuple[int, ...]) -> str:
 class _Plan(NamedTuple):
     """How ``subset_purities`` covers all 2^n subsets at one n."""
 
-    cuts: tuple[tuple[int, ...], ...]  # per cut: transpose order, its axes first
-    cut_masks: tuple[int, ...]
+    cut_masks: tuple[int, ...]  # per cut of ``_offsets(n, ceil(n/2))``
     # per cut: (partial-trace subscripts, mask) of each smaller marginal it owns
     owned: tuple[tuple[tuple[str, int], ...], ...]
     complements: np.ndarray  # masks filled from P(A) = P(A^c)
@@ -81,18 +113,17 @@ def _plan(n: int) -> _Plan:
     # Every subset of size < h lies in some size-h cut that contains qubit 1,
     # and every larger subset is the complement of one already covered.
     h = (n + 1) // 2
+    rows = _offsets(n, h)[0]
+    # row offset r of a cut is the mask of the cut qubits that r's bits pick
+    cut_masks = tuple(rows[:, -1].tolist())
     subscripts = {}
-    seen = {0, (1 << n) - 1}
-    cuts, cut_masks, owned = [], [], []
-    for rest in combinations(range(1, n), h - 1):
-        axes = (0, *rest)
-        cuts.append(axes + tuple(q for q in range(n) if q not in axes))
-        cut_masks.append(_mask(n, axes))
-        seen.add(cut_masks[-1])
+    seen = {0, (1 << n) - 1, *cut_masks}
+    owned = []
+    for row in rows:
         mine = []
         for size in range(1, h):
             for keep in combinations(range(h), size):
-                mask = _mask(n, (axes[j] for j in keep))
+                mask = int(row[_mask(h, keep)])
                 if mask not in seen:
                     seen.add(mask)
                     if keep not in subscripts:
@@ -105,7 +136,7 @@ def _plan(n: int) -> _Plan:
     balanced = np.array(
         [_mask(n, axes) for axes in combinations(range(n), n // 2)], dtype=np.int64
     )
-    return _Plan(tuple(cuts), tuple(cut_masks), tuple(owned), complements, balanced)
+    return _Plan(tuple(cut_masks), tuple(owned), complements, balanced)
 
 
 def subset_purities(state: QState) -> np.ndarray:
@@ -121,11 +152,9 @@ def subset_purities(state: QState) -> np.ndarray:
     plan = _plan(n)
     h = (n + 1) // 2
     full = (1 << n) - 1
-    ten = state.amplitudes.reshape((2,) * n)
     table = np.empty(1 << n)
-    for perm, cut_mask, owned in zip(plan.cuts, plan.cut_masks, plan.owned):
-        mat = ten.transpose(perm).reshape(1 << h, 1 << (n - h))
-        rho = mat @ mat.conj().T
+    grams = (rho for _, _, block in _gram_blocks(state.amplitudes, h) for rho in block)
+    for rho, cut_mask, owned in zip(grams, plan.cut_masks, plan.owned):
         table[cut_mask] = np.vdot(rho, rho).real
         rho = rho.reshape((2,) * (2 * h))
         for subscripts, mask in owned:

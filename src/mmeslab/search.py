@@ -10,9 +10,9 @@ plus a weighted sum of the kernel at each size
 amplitudes: per subset with reshaped amplitude matrix M the derivative with
 respect to conj(M) is 2 M M^H M, so the Euclidean gradient over the
 (re, im) parameter pairs is 4 M M^H M scattered back into flat index order.
-It gathers every subset's matrix through a cached index table and forms the
-stacked Gram matrices, in blocks of at most ``_BLOCK_AMPS`` gathered
-amplitudes.
+Its cut matrices and Gram matrices come from ``purity._gram_blocks``, as for
+the subset-purity table, and the gradient is scattered back through the same
+flat indices.
 
 Each restart runs a two-loop L-BFGS (Nocedal & Wright, Numerical
 Optimization, Alg. 7.4) on the real view of z with the scale-invariant
@@ -27,18 +27,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .purity import average_balanced_purity
+from .purity import _gram_blocks, average_balanced_purity
 from .states import QState, StateError, _normalized, check_seed, random_state
-
-# Gathered amplitudes per kernel block: a whole n <= 8 kernel call is one
-# block, while n = 10 and 12 stay memory bounded (blocks of 32 and 8 subsets).
-_BLOCK_AMPS = 1 << 15
 
 _MEMORY = 8  # L-BFGS correction pairs kept
 _DECREASE_C = 1e-4  # sufficient-decrease constant of the line search
@@ -97,46 +91,20 @@ class SearchResult:
     wall_time: float
 
 
-@lru_cache(maxsize=None)
-def _cut_gather(n: int, size: int) -> np.ndarray:
-    """Row c holds the flat amplitude indices of the c-th qubit subset of
-    ``size`` qubits (lexicographic), as its 2^size x 2^(n-size) matrix in
-    row-major order.  At 2 * size = n only the cuts that contain qubit 1 are
-    kept, since a cut and its complement have the same purity.
-
-    Each row is a permutation of range(2^n), so the same table scatters the
-    gradient back (``put_along_axis``).
-    """
-    subsets = [
-        axes for axes in combinations(range(n), size) if 2 * size < n or axes[0] == 0
-    ]
-    base = np.arange(1 << n, dtype=np.int32).reshape((2,) * n)
-    table = np.empty((len(subsets), 1 << n), dtype=np.int32)
-    for row, axes in zip(table, subsets):
-        perm = axes + tuple(q for q in range(n) if q not in axes)
-        row[:] = base.transpose(perm).reshape(-1)
-    table.setflags(write=False)
-    return table
-
-
 def _mean_purity_and_grad(
     amps: np.ndarray, size: int, with_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
     """Mean Gram-norm purity over the subsets of ``size`` qubits (size <= n/2),
     for the raw (unnormalized) vector, plus its Euclidean real-parameter
     gradient in complex form (real part = d/d re, imag part = d/d im)."""
-    n = amps.size.bit_length() - 1
-    gather = _cut_gather(n, size)
-    count, dim = gather.shape
-    step = max(1, _BLOCK_AMPS // dim)
+    count = 0
     value = 0.0
     grad = np.zeros_like(amps) if with_grad else None
-    for start in range(0, count, step):
-        idx = gather[start : start + step]
-        mats = amps[idx].reshape(-1, 1 << size, 1 << (n - size))
-        grams = mats @ mats.conj().transpose(0, 2, 1)
+    for idx, mats, grams in _gram_blocks(amps, size):
+        count += len(idx)
         value += float(np.vdot(grams, grams).real)
         if with_grad:
+            idx = idx.reshape(len(idx), -1)
             scattered = np.empty(idx.shape, dtype=amps.dtype)
             np.put_along_axis(scattered, idx, (grams @ mats).reshape(idx.shape), axis=1)
             grad += scattered.sum(axis=0)
@@ -190,15 +158,12 @@ def gradient_check(n: int, seed: int, step: float = 1e-5) -> float:
         raise SearchError(f"gradient_check supports even n in [2, 6], got {n}")
     amps = random_state(n, seed).amplitudes.copy()
     _, grad = _oracle_objective_and_grad(amps)
-    analytic = np.concatenate([grad.real, grad.imag])
-    dim = amps.size
+    analytic = grad.view(np.float64)  # (re, im) pairs
     worst = 0.0
-    for j in range(2 * dim):
-        delta = np.zeros(dim, dtype=np.complex128)
-        if j < dim:
-            delta[j] = step
-        else:
-            delta[j - dim] = 1j * step
+    for j in range(analytic.size):
+        delta = np.zeros(analytic.size)
+        delta[j] = step
+        delta = delta.view(np.complex128)
         f_plus, _ = _oracle_objective_and_grad(amps + delta, with_grad=False)
         f_minus, _ = _oracle_objective_and_grad(amps - delta, with_grad=False)
         worst = max(worst, abs((f_plus - f_minus) / (2 * step) - analytic[j]))

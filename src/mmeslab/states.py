@@ -41,11 +41,7 @@ class QState:
     meta: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise StateError(f"qubit count must be an int, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not (1 <= self.n <= MAX_QUBITS):
-            raise StateError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        object.__setattr__(self, "n", check_qubit_count(self.n))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise StateError(
@@ -76,6 +72,7 @@ def _normalized(n: int, amps: np.ndarray, meta: Mapping | None = None) -> QState
 
 def make_basis_state(n: int, index: int) -> QState:
     """Computational basis state |index> on n qubits."""
+    check_qubit_count(n)
     if not 0 <= index < (1 << n):
         raise StateError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -85,7 +82,7 @@ def make_basis_state(n: int, index: int) -> QState:
 
 def make_ghz(n: int) -> QState:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
+    if check_qubit_count(n) < 2:
         raise StateError(f"GHZ state needs n >= 2, got {n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
@@ -94,7 +91,7 @@ def make_ghz(n: int) -> QState:
 
 def make_w(n: int) -> QState:
     """Equal superposition of all single-excitation basis states."""
-    if n < 2:
+    if check_qubit_count(n) < 2:
         raise StateError(f"W state needs n >= 2, got {n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     for k in range(n):
@@ -138,6 +135,16 @@ def make_psi_m8() -> QState:
     return _normalized(8, raw, meta={"raw_norm": raw_norm})
 
 
+def check_qubit_count(n: int) -> int:
+    """``n`` if it is an int in [1, MAX_QUBITS], else a StateError; every
+    state maker calls this before it allocates 2^n amplitudes."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise StateError(f"qubit count must be an int, got {n!r}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise StateError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    return int(n)
+
+
 def check_seed(seed: int) -> int:
     """``seed`` itself if it is an int in [0, 2**64); otherwise a StateError
     that names it.  Every seed a caller passes in is checked here."""
@@ -157,8 +164,7 @@ def random_state(n: int, seed: int, stream: int | None = None) -> QState:
     (``check_seed``) and ``stream`` in [0, 2**126), which keeps the key
     below Philox's 2**128 limit.
     """
-    if n < 1:
-        raise StateError(f"need n >= 1, got {n}")
+    check_qubit_count(n)
     key = check_seed(seed)
     if stream is not None:
         if type(stream) is not int or not 0 <= stream < 1 << 126:

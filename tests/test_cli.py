@@ -82,6 +82,14 @@ def test_state_bad_args(tmp_path, capsys):
     assert code == 2
 
 
+def test_state_too_many_qubits(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, doc, err = run(capsys, "state", "--kind", "random", "--n", "40", "--out", str(out))
+    assert code == 2 and doc is None
+    assert "qubit count" in err
+    assert not out.exists()
+
+
 def test_invariants_roundtrip_and_errata(tmp_path, capsys):
     out = tmp_path / "g10.json"
     run(capsys, "state", "--kind", "ghz", "--n", "10", "--out", str(out))
@@ -148,6 +156,13 @@ def test_verify_exit_codes(capsys):
     assert doc["errata_flags"]
     code, _, _ = run(capsys, "verify", "--n", "7", "--samples", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_rejects_bad_tol(capsys, tol):
+    code, doc, err = run(capsys, "verify", "--n", "4", "--samples", "2", "--tol", tol)
+    assert code == 2 and doc is None
+    assert "tol" in err
 
 
 def test_fit_command(capsys):

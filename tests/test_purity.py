@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmeslab import purity
 from mmeslab.purity import average_balanced_purity, reduced_purity, subset_purities
 from mmeslab.states import (
     StateError,
@@ -115,3 +116,24 @@ def test_subset_purities_sample_at_n12():
     for mask in rng.integers(1, (1 << 12) - 1, size=300):
         expected = reduced_purity(state, _positions(12, int(mask)))
         assert table[mask] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cut_offsets_give_reshaped_matrices(n):
+    amps = random_state(n, 60 + n).amplitudes
+    for size in range(1, n):
+        cuts = [a for a in combinations(range(n), size) if 2 * size < n or a[0] == 0]
+        rows, cols = purity._offsets(n, size)
+        assert rows.shape == (len(cuts), 1 << size)
+        assert cols.shape == (len(cuts), 1 << (n - size))
+        for axes, row, col in zip(cuts, rows, cols):
+            rest = [q for q in range(n) if q not in axes]
+            mat = amps.reshape((2,) * n).transpose(list(axes) + rest).reshape(1 << size, -1)
+            np.testing.assert_array_equal(amps[row[:, None] | col[None, :]], mat)
+
+
+def test_cut_offsets_are_small_at_n12():
+    # per-cut offsets, not a 462 x 2^12 index table (7.57 MB as int32)
+    rows, cols = purity._offsets(12, 6)
+    assert rows.shape == cols.shape == (462, 64)
+    assert rows.nbytes + cols.nbytes <= 1 << 20

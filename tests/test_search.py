@@ -3,7 +3,8 @@ import pytest
 
 from mmeslab.decomposition import evaluate, printed_model
 from mmeslab.pauli import n_tangle, weight_sums
-from mmeslab.purity import average_balanced_purity
+from mmeslab import purity
+from mmeslab.purity import average_balanced_purity, subset_purities
 from mmeslab.search import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
@@ -83,6 +84,24 @@ def test_model_gradient_directional_derivative_n10():
     f_minus, _ = objective(amps - h * direction, with_grad=False)
     analytic = np.real(np.vdot(grad, direction))
     assert (f_plus - f_minus) / (2 * h) == pytest.approx(analytic, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_block_boundaries_do_not_matter(n, monkeypatch):
+    state = random_state(n, 700 + n)
+    model = _make_model_objective(printed_model(n))
+
+    def run():
+        amps = state.amplitudes
+        return subset_purities(state), _oracle_objective_and_grad(amps), model(amps)
+
+    table, *kernels = run()
+    monkeypatch.setattr(purity, "_BLOCK_AMPS", 1 << n)  # one cut per block
+    one_per_block, *split = run()
+    np.testing.assert_array_equal(one_per_block, table)
+    for (value, grad), (split_value, split_grad) in zip(kernels, split):
+        assert split_value == pytest.approx(value, abs=1e-13)
+        np.testing.assert_allclose(split_grad, grad, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,27 @@ def test_state_rejects_nan_amplitude():
 def test_state_rejects_non_int_qubit_count(n):
     with pytest.raises(StateError, match="qubit count"):
         QState(n, [1.0, 0.0])
+
+
+def test_random_state_rejects_too_many_qubits():
+    with pytest.raises(StateError, match="qubit count"):
+        random_state(40, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n: make_basis_state(n, 0), make_ghz, make_w, lambda n: random_state(n, 0)],
+    ids=["basis", "ghz", "w", "random"],
+)
+def test_makers_refuse_too_many_qubits_before_allocating(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError, match="qubit count"):
+            make(17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2^17 amplitudes would take 2 MB
 
 
 def test_state_accepts_numpy_int_qubit_count():
