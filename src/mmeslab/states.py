@@ -7,6 +7,7 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ class QState:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_qubit_count(self.n))
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise StateError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape}"
@@ -215,20 +216,26 @@ def state_document(state: QState) -> dict:
     return {
         "format": STATE_FORMAT,
         "n": state.n,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": state.amplitudes.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
 def save_state(state: QState, destination: str | os.PathLike) -> None:
-    """Write a mmeslab-state-v1 file (atomic: temp file + rename)."""
-    doc = state_document(state)
+    """Write a mmeslab-state-v1 file (atomic: temp file + rename).
+
+    The document is encoded before the temp file exists, so a failed encode
+    leaves nothing behind.  ``json.dumps`` runs the C encoder; ``json.dump``
+    would stream through the pure-Python one.  The document is fresh lists
+    of floats, so there is no cycle for the encoder to look for.
+    """
+    text = json.dumps(state_document(state), check_circular=False)
     destination = os.fspath(destination)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(destination)) or ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         os.replace(tmp, destination)
     except BaseException:
         if os.path.exists(tmp):
@@ -256,11 +263,20 @@ def load_state(source: str | os.PathLike, renormalize: bool = False) -> QState:
     if not isinstance(pairs, list) or len(pairs) != (1 << n):
         got = len(pairs) if isinstance(pairs, list) else pairs
         raise StateError(f"{source}: expected {1 << n} amplitudes, got {got}")
+    # Checked first: numpy would read "1.0" and true as numbers, null as NaN.
     try:
-        arr = np.array([[float(re), float(im)] for re, im in pairs])
-    except (TypeError, ValueError) as exc:
+        kinds = set(map(type, itertools.chain.from_iterable(pairs)))
+    except TypeError as exc:
         raise StateError(f"{source}: bad amplitude entry: {exc}") from exc
-    amps = arr[:, 0] + 1j * arr[:, 1]
+    if not kinds <= {float, int}:
+        raise StateError(f"{source}: amplitude entries must be JSON numbers")
+    try:
+        arr = np.array(pairs, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise StateError(f"{source}: bad amplitude entry: {exc}") from exc
+    if arr.shape != (1 << n, 2):
+        raise StateError(f"{source}: amplitude entries must be [re, im] pairs")
+    amps = arr.view(np.complex128).reshape(-1)
     norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     if not abs(norm - 1.0) <= LOAD_NORM_TOL:  # a NaN norm fails here
         if not renormalize:

@@ -137,6 +137,21 @@ def test_invariants_rejects_invalid_state(tmp_path, capsys, text):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "entries",
+    ['["1.0", 0]', "[true, false]", "[1.0, false]", "[1.0, null]"],
+    ids=["string", "bools", "bool-among-numbers", "null"],
+)
+def test_invariants_rejects_mistyped_amplitudes(tmp_path, capsys, entries):
+    path = tmp_path / "state.json"
+    amps = f"[{entries}, [0, 0], [0, 0], [0, 0]]"
+    path.write_text(f'{{"format": "mmeslab-state-v1", "n": 2, "amplitudes": {amps}}}')
+    code, doc, err = run(capsys, "invariants", "--in", str(path), "--max-weight", "2")
+    assert code == 2
+    assert doc is None
+    assert "error" in err and str(path) in err
+
+
 def test_report_json_refuses_nan():
     with pytest.raises(ValueError):
         reports.dumps({"value": float("nan")})

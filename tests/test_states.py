@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmeslab import states
 from mmeslab.states import (
     QState,
     StateError,
@@ -180,6 +183,97 @@ def test_load_rejects_wrong_length(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(StateError, match="expected 16"):
         load_state(path)
+
+
+def _reference_bytes(state):
+    """The per-element encoding of mmeslab-state-v1 that saved files must keep."""
+    doc = {
+        "format": "mmeslab-state-v1",
+        "n": state.n,
+        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+    }
+    return json.dumps(doc).encode("utf-8")
+
+
+EDGE_STATE = QState(
+    2, np.array([complex(1.0, -0.0), complex(-0.0, 5e-324), complex(1e-300, -3e-300), complex(-0.0, -0.0)])
+)
+
+
+# Built from every other entry of a longer array, so its amplitudes are strided.
+STRIDED_STATE = QState(1, np.array([0.6, 9.0, 0.8j, 9.0], dtype=np.complex128)[::2])
+
+
+@pytest.mark.parametrize(
+    "state",
+    [random_state(n, 100 + n) for n in range(1, 13)] + [EDGE_STATE, STRIDED_STATE],
+    ids=[f"random-n{n}" for n in range(1, 13)] + ["signed-zero-subnormal", "strided"],
+)
+def test_save_bytes_golden_and_load_bit_exact(tmp_path, state):
+    path = tmp_path / "s.json"
+    save_state(state, path)
+    assert path.read_bytes() == _reference_bytes(state)
+    loaded = load_state(path)
+    np.testing.assert_array_equal(
+        loaded.amplitudes.view(np.uint64), state.amplitudes.view(np.uint64)
+    )
+
+
+def test_save_failed_encode_creates_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    save_state(make_ghz(2), path)
+    before = path.read_bytes()
+    made = []
+    mkstemp = tempfile.mkstemp
+    monkeypatch.setattr(tempfile, "mkstemp", lambda *a, **k: made.append(1) or mkstemp(*a, **k))
+    # An object the encoder cannot serialize makes it raise.
+    monkeypatch.setattr(states, "state_document", lambda state: {"amplitudes": [object()]})
+    with pytest.raises(TypeError):
+        save_state(random_state(2, 3), path)
+    assert made == []
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert path.read_bytes() == before
+
+
+def test_save_failed_rename_removes_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    save_state(make_ghz(2), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_state(random_state(2, 3), path)
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        [["1.0", 0], [0, 0]],
+        [[True, False], [False, False]],
+        [[1.0, 0.0], [0.0, False]],
+        [[1.0, 0.0], [None, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0, 0.0]],
+        [[1.0, 0.0], 0.0],
+        [[1.0, 0.0], [10**400, 0]],
+    ],
+    ids=["string", "bools", "bool-among-numbers", "null", "triple", "bare-number", "huge-int"],
+)
+def test_load_rejects_mistyped_entries(tmp_path, amps):
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps({"format": "mmeslab-state-v1", "n": 1, "amplitudes": amps}))
+    with pytest.raises(StateError, match="mistyped.json"):
+        load_state(path)
+
+
+def test_load_accepts_integer_entries(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text('{"format": "mmeslab-state-v1", "n": 1, "amplitudes": [[0, 1], [0, 0]]}')
+    assert load_state(path).amplitudes[0] == 1j
 
 
 def test_load_rejects_bad_norm_then_renormalizes(tmp_path):
