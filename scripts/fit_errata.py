@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Refit the C + K coefficients from the purity oracle and print the
-corrected rationals next to the published ones."""
+"""Print the published C + K coefficients next to the exact derived ones
+and a least-squares refit from the purity oracle, marking every published
+coefficient that differs from the derivation."""
 import argparse
 from fractions import Fraction
 
-from mmeslab.decomposition import fit_coefficients, printed_model
+from mmeslab.decomposition import derived_model, fit_coefficients, printed_model
 
 
 def _fmt(c):
@@ -19,22 +20,19 @@ def main():
     args = parser.parse_args()
 
     fitted, diag = fit_coefficients(args.n, args.samples, args.seed)
-    published = printed_model(args.n)
+    published, derived = printed_model(args.n), derived_model(args.n)
     print(f"n = {args.n}")
     print(f"feature-matrix rank {diag.rank}/{len(diag.features)} "
           f"(null space {diag.null_space_dim})")
     print(f"training max residual {diag.training_max_residual:.3e}, "
           f"held-out {diag.holdout_max_residual:.3e}, snapped={diag.snapped}")
     print()
-    print(f"{'coefficient':<12} {'published':>12} {'fitted':>12}")
-    rows = [("C + offset", published.constant + published.tau_offset,
-             fitted.constant + fitted.tau_offset)]
-    for k, (a, b) in enumerate(zip(published.weight_coeffs, fitted.weight_coeffs), 1):
-        rows.append((f"M_{k}", a, b))
-    rows.append(("tau", published.tau_coeff, fitted.tau_coeff))
-    for name, a, b in rows:
-        marker = "" if _fmt(a) == _fmt(b) else "   <- differs"
-        print(f"{name:<12} {_fmt(a):>12} {_fmt(b):>12}{marker}")
+    print(f"{'coefficient':<12} {'published':>12} {'derived':>12} {'fitted':>12}")
+    names = ["C", *(f"M_{k}" for k in range(1, args.n // 2)), "tau", "tau offset"]
+    columns = (published.coefficients(), derived.coefficients(), fitted.coefficients())
+    for name, a, b, c in zip(names, *columns):
+        marker = "" if a == b else "   <- published differs from derived"
+        print(f"{name:<12} {_fmt(a):>12} {_fmt(b):>12} {_fmt(c):>12}{marker}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from .decomposition import (
     SUPPORTED_N,
     VerificationSummary,
     conjecture_audit,
+    derived_model,
     evaluate,
     fit_coefficients,
     printed_model,

@@ -2,11 +2,15 @@
 
 All printed constants live as exact ``Fraction`` values and become floats
 only at evaluation time, so comparisons against the published tables are
-exact.  Residual sign convention, fixed package-wide: oracle minus model.
+exact.  ``derived_model`` derives the table for any even n from
+``size_weights`` alone, so the printed tables are checked coefficient by
+coefficient in exact arithmetic; ``fit_coefficients`` is the independent
+numerical cross-check.  Residual sign convention, fixed package-wide:
+oracle minus model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, inf
 from typing import Sequence
@@ -19,14 +23,7 @@ from .purity import purity_report, subset_purities
 # Not called here since pi_ME comes from the purity table, but kept as a
 # module attribute: perfbench/spans.py wraps it under this name.
 from .purity import average_balanced_purity  # noqa: F401
-from .states import (
-    STREAM_MULTIPLIER,
-    QState,
-    make_basis_state,
-    make_ghz,
-    make_w,
-    random_state,
-)
+from .states import STREAM_MULTIPLIER, QState, make_basis_state, make_ghz, make_w, random_state
 
 SUPPORTED_N = (2, 4, 6, 8, 10, 12)
 
@@ -54,7 +51,7 @@ class DecompositionModel:
     weight_coeffs: tuple[Coeff, ...]
     tau_coeff: Coeff
     tau_offset: Coeff
-    provenance: str  # "printed" | "fitted"
+    provenance: str  # "printed" | "derived" | "fitted"
 
     def __post_init__(self):
         if self.n % 2 or self.n < 2:
@@ -77,6 +74,10 @@ class DecompositionModel:
 
     def predict(self, m: Sequence[float], tau: float) -> float:
         return float(self.constant) + self.k_value(m, tau)
+
+    def coefficients(self) -> tuple[Coeff, ...]:
+        """(C, w_1, ..., w_{n/2-1}, tau_coeff, tau_offset)."""
+        return (self.constant, *self.weight_coeffs, self.tau_coeff, self.tau_offset)
 
     def size_weights(self) -> tuple[Fraction, ...]:
         """Exact lambda_0..lambda_{n/2} such that, on every unit vector,
@@ -125,9 +126,9 @@ _PRINTED: dict[int, DecompositionModel] = {
         "printed",
     ),
     # The weight-3 and weight-4 coefficients are printed as products:
-    # (1/252)*(5/8) and (2/252)*(1/8).  This model is known to disagree
-    # with the purity oracle (see verify_identity); it is kept verbatim so
-    # the erratum stays detectable.
+    # (1/252)*(5/8) and (2/252)*(1/8).  The second is twice the derived
+    # value (see known_errata); the model is kept verbatim so the erratum
+    # stays detectable.
     10: DecompositionModel(
         10,
         Fraction(13, 336),
@@ -169,6 +170,28 @@ def printed_model(n: int) -> DecompositionModel:
         raise ModelError(f"no printed model for n={n}; supported: {SUPPORTED_N}")
 
 
+def derived_model(n: int) -> DecompositionModel:
+    """The exact model for any even n >= 2: ``size_weights`` = (0, ..., 0, 1).
+
+    Only tau reaches lambda_{n/2}, and w_k is the highest coefficient that
+    reaches lambda_k, so the w_k follow by back-substitution from k = n/2 - 1
+    down to 1; C + tau_offset then cancels lambda_0.  C and tau_offset are
+    split as in the printed tables: tau_offset = -tau_coeff for n = 2 mod 4
+    (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.
+    """
+    if n % 2 or n < 2:
+        raise ModelError(f"models are defined for even n >= 2, got {n}")
+    half = n // 2
+    tau_coeff = Fraction((-1) ** half, comb(n, half))
+    model = DecompositionModel(n, 0, (Fraction(0),) * (half - 1), tau_coeff, 0, "derived")
+    for k in range(half - 1, 0, -1):
+        w = list(model.weight_coeffs)
+        w[k - 1] = -model.size_weights()[k] / (comb(n, k) * 2**k)
+        model = replace(model, weight_coeffs=tuple(w))
+    offset = -tau_coeff if half % 2 else Fraction(0)
+    return replace(model, constant=-model.size_weights()[0] - offset, tau_offset=offset)
+
+
 @dataclass(frozen=True)
 class KReport:
     """One state evaluated against one model."""
@@ -187,6 +210,8 @@ def _invariants(
     state: QState, k_max: int, strategy: str, purities: np.ndarray | None = None
 ) -> tuple[tuple[float, ...], float, float]:
     """(M_1..M_k_max, tau, oracle pi_ME) of one state, from one purity table."""
+    if strategy not in ("moebius", "enumeration"):
+        raise ModelError(f"unknown weight-sum strategy {strategy!r}")
     if purities is None:
         purities = subset_purities(state)
     if not k_max:
@@ -229,11 +254,7 @@ def evaluate(
 
 
 def canonical_states(n: int) -> list[tuple[str, QState]]:
-    return [
-        ("product", make_basis_state(n, 0)),
-        ("ghz", make_ghz(n)),
-        ("w", make_w(n)),
-    ]
+    return [("product", make_basis_state(n, 0)), ("ghz", make_ghz(n)), ("w", make_w(n))]
 
 
 @dataclass(frozen=True)
@@ -341,18 +362,12 @@ def fit_coefficients(
 
     use: list[Coeff] = candidate if snapped else [float(c) for c in coeffs]
     c0, wcs, c_tau = use[0], tuple(use[1:-1]), use[-1]
-    # Anchor the constant at the published C so fitted K values compare
-    # directly with the paper's tables; the leftover lands in tau_offset.
-    published_c = printed_model(n).constant
-    offset = c0 - published_c if isinstance(c0, Fraction) else c0 - float(published_c)
-    model = DecompositionModel(
-        n=n,
-        constant=published_c,
-        weight_coeffs=wcs,
-        tau_coeff=c_tau,
-        tau_offset=offset,
-        provenance="fitted",
-    )
+    # Anchor the constant at the exact C (the printed one at every supported
+    # n) so fitted K values compare directly with the paper's tables; the
+    # leftover lands in tau_offset.
+    exact_c = derived_model(n).constant
+    offset = c0 - exact_c if isinstance(c0, Fraction) else c0 - float(exact_c)
+    model = DecompositionModel(n, exact_c, wcs, c_tau, offset, "fitted")
     diag = FitDiagnostics(
         n=n,
         samples=samples,
@@ -370,30 +385,16 @@ def fit_coefficients(
     return model, diag
 
 
-def product_exact_weight_sums(n: int, k_max: int) -> tuple[Fraction, ...]:
-    """M_k of |0...0>: only the all-z string survives, so M_k = C(n, k)."""
-    return tuple(Fraction(comb(n, k)) for k in range(1, k_max + 1))
-
-
-def ghz_exact_weight_sums(n: int, k_max: int) -> tuple[Fraction, ...]:
-    """M_k of GHZ_n for k < n: F_S = 1 for even |S| (all-z string), else 0."""
-    if k_max >= n:
-        raise ModelError("exact GHZ sums implemented for k < n only")
-    return tuple(
-        Fraction(comb(n, k)) if k % 2 == 0 else Fraction(0)
-        for k in range(1, k_max + 1)
-    )
-
-
-def exact_k(model: DecompositionModel, m: Sequence[Fraction], tau: Fraction) -> Fraction:
-    """K evaluated in exact rational arithmetic (printed/snapped models only)."""
-    coeffs = (*model.weight_coeffs, model.tau_coeff, model.tau_offset, model.constant)
-    if not all(isinstance(c, Fraction) for c in coeffs):
+def exact_k(model: DecompositionModel, mean_purities: Sequence[Fraction]) -> Fraction:
+    """K in exact arithmetic (rational models only) from the exact mean purity
+    at each subset size 1..n/2: (1/2,) * (n/2) for GHZ, (1,) * (n/2) for a
+    product state."""
+    if not all(isinstance(c, Fraction) for c in model.coefficients()):
         raise ModelError("exact evaluation needs fully rational coefficients")
-    acc = model.tau_offset + model.tau_coeff * tau
-    for coeff, mk in zip(model.weight_coeffs, m):
-        acc += coeff * mk
-    return acc
+    if len(mean_purities) != model.n // 2:
+        raise ModelError(f"need {model.n // 2} mean purities, got {len(mean_purities)}")
+    lam = model.size_weights()
+    return lam[0] - model.constant + sum(l * p for l, p in zip(lam[1:], mean_purities))
 
 
 # K values quoted in the text for n = 12; they repeat the n = 10 numbers
@@ -402,28 +403,26 @@ N12_IN_TEXT_K = {"ghz": Fraction(155, 336), "product": Fraction(323, 336)}
 
 
 def known_errata() -> list[str]:
-    """Exact-arithmetic checks of the published tables against themselves.
+    """Exact-arithmetic checks of the published tables.
 
-    Two defects are detectable without any numerics: the n=10 coefficient
-    table contradicts its own quoted K values, and the n=12 text quotes the
-    n=10 K values even though the n=12 coefficients are self-consistent.
+    Each printed coefficient is compared with ``derived_model``, which names
+    the n=10 weight-4 erratum.  The n=12 text quotes the n=10 K values
+    although the n=12 coefficients are exact: a copy error.
     """
     flags = []
-    m10 = printed_model(10)
-    k_ghz10 = exact_k(m10, ghz_exact_weight_sums(10, 4), Fraction(1))
-    if k_ghz10 != Fraction(155, 336):
+    for n in SUPPORTED_N:
+        names = ["C", *(f"weight-{k} coefficient w_{k}" for k in range(1, n // 2))]
+        names += ["tau_coeff", "tau_offset"]
+        derived = derived_model(n).coefficients()
+        for name, got, want in zip(names, printed_model(n).coefficients(), derived):
+            if got != want:
+                flags.append(f"n={n} printed {name} = {got}; the exact derivation gives {want}")
+    quoted = (N12_IN_TEXT_K["ghz"], N12_IN_TEXT_K["product"])
+    ghz, prod = (exact_k(printed_model(12), (p,) * 6) for p in (Fraction(1, 2), Fraction(1)))
+    if (ghz, prod) != quoted:
         flags.append(
-            f"n=10 coefficient table gives K(GHZ) = {k_ghz10}, but the quoted "
-            f"value is 155/336 (difference {k_ghz10 - Fraction(155, 336)})"
-        )
-    m12 = printed_model(12)
-    k_ghz12 = exact_k(m12, ghz_exact_weight_sums(12, 5), Fraction(1))
-    k_prod12 = exact_k(m12, product_exact_weight_sums(12, 5), Fraction(0))
-    if (k_ghz12, k_prod12) != (N12_IN_TEXT_K["ghz"], N12_IN_TEXT_K["product"]):
-        flags.append(
-            f"n=12 text quotes K = {N12_IN_TEXT_K['ghz']} / "
-            f"{N12_IN_TEXT_K['product']} (the n=10 values); the printed "
-            f"coefficients actually give {k_ghz12} / {k_prod12} — copy error"
+            f"n=12 text quotes K = {quoted[0]} / {quoted[1]} (the n=10 values); the "
+            f"printed coefficients actually give {ghz} / {prod} — copy error"
         )
     return flags
 
@@ -435,17 +434,14 @@ class AuditRow:
     required_tau: int  # tau value forced at K = 0 by the sign of tau_coeff
 
 
-def conjecture_audit(n_list: Sequence[int] = SUPPORTED_N) -> list[AuditRow]:
-    """Structural tau requirement of each model at K = 0.
+def conjecture_audit() -> list[AuditRow]:
+    """Structural tau requirement of each printed model at K = 0.
 
     A negative tau coefficient means K can only vanish at tau = 1; a
     positive one forces tau = 0.
     """
     rows = []
-    for n in n_list:
+    for n in SUPPORTED_N:
         model = printed_model(n)
-        required = 1 if model.tau_coeff < 0 else 0
-        rows.append(
-            AuditRow(n=n, constant=Fraction(model.constant), required_tau=required)
-        )
+        rows.append(AuditRow(n, Fraction(model.constant), int(model.tau_coeff < 0)))
     return rows

@@ -160,7 +160,8 @@ def invariants_results(
     }
     if with_tangle and state.n % 2 == 0:
         results["n_tangle"] = n_tangle(state)
-    if with_purity:
+    # balanced bipartitions need two qubits, as the tangle needs even n
+    if with_purity and state.n >= 2:
         purities = subset_purities(state)
         results["purity"] = purity_dict(purity_report(purities))
     if with_purity and state.n in SUPPORTED_N:

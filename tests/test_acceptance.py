@@ -15,10 +15,8 @@ from mmeslab.decomposition import (
     evaluate,
     exact_k,
     fit_coefficients,
-    ghz_exact_weight_sums,
     known_errata,
     printed_model,
-    product_exact_weight_sums,
     verify_identity,
 )
 from mmeslab.pauli import n_tangle, weight_sums
@@ -98,8 +96,9 @@ def test_criterion_4_errata_repair():
         model, diag = fit_coefficients(10, samples=60, seed=99, holdout_samples=100)
         assert diag.holdout_max_residual <= 1e-8
         assert diag.snapped
-        k_ghz = exact_k(model, ghz_exact_weight_sums(10, 4), Fraction(1))
-        k_prod = exact_k(model, product_exact_weight_sums(10, 4), Fraction(0))
+        # every proper subset of GHZ has purity 1/2, of a product state 1
+        k_ghz = exact_k(model, (Fraction(1, 2),) * 5)
+        k_prod = exact_k(model, (Fraction(1),) * 5)
         assert k_ghz == Fraction(155, 336)
         assert k_prod == Fraction(323, 336)
 
@@ -107,12 +106,8 @@ def test_criterion_4_errata_repair():
 def test_criterion_5_n12_self_consistency():
     with _criterion(5, "printed n=12 model self-consistency + copy errata"):
         model = printed_model(12)
-        assert exact_k(model, ghz_exact_weight_sums(12, 5), Fraction(1)) == Fraction(
-            3539, 7392
-        )
-        assert exact_k(model, product_exact_weight_sums(12, 5), Fraction(0)) == Fraction(
-            7235, 7392
-        )
+        assert exact_k(model, (Fraction(1, 2),) * 6) == Fraction(3539, 7392)
+        assert exact_k(model, (Fraction(1),) * 6) == Fraction(7235, 7392)
         for state, k_expected in [
             (make_ghz(12), Fraction(3539, 7392)),
             (make_basis_state(12, 0), Fraction(7235, 7392)),

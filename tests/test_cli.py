@@ -112,6 +112,15 @@ def test_invariants_ghz8_model_values(tmp_path, capsys):
     assert abs(model["residual_oracle_minus_model"]) <= 1e-10
 
 
+def test_invariants_one_qubit_skips_purity(tmp_path, capsys):
+    out = tmp_path / "b1.json"
+    run(capsys, "state", "--kind", "basis", "--n", "1", "--out", str(out))
+    code, doc, _ = run(capsys, "invariants", "--in", str(out), "--max-weight", "1")
+    assert code == 0
+    assert doc["results"]["weight_sums"]["m"] == [1.0]
+    assert "purity" not in doc["results"]
+
+
 def test_invariants_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,18 +8,27 @@ from hypothesis import strategies as st
 from mmeslab.decomposition import (
     ModelError,
     conjecture_audit,
+    derived_model,
     evaluate,
     exact_k,
     fit_coefficients,
-    ghz_exact_weight_sums,
     known_errata,
     printed_model,
-    product_exact_weight_sums,
     snap_rational,
     verify_identity,
 )
 from mmeslab.pauli import n_tangle, weight_sums
 from mmeslab.states import StateError, make_basis_state, make_ghz, random_state
+
+
+
+def ghz_means(n):
+    """Exact mean purity per subset size 1..n/2: every proper marginal of GHZ is 1/2."""
+    return (Fraction(1, 2),) * (n // 2)
+
+
+def product_means(n):
+    return (Fraction(1),) * (n // 2)
 
 
 def test_printed_model_rationals():
@@ -152,17 +162,62 @@ def test_snap_rational():
     assert snap_rational(float(Fraction(155, 336))) == Fraction(155, 336)
 
 
-def test_exact_weight_sum_helpers():
-    assert product_exact_weight_sums(4, 4) == (4, 6, 4, 1)
-    assert ghz_exact_weight_sums(10, 4) == (0, 45, 0, 210)
-    with pytest.raises(ModelError):
-        ghz_exact_weight_sums(4, 4)
-
-
 def test_exact_k_matches_float_eval():
     model = printed_model(8)
-    k = exact_k(model, ghz_exact_weight_sums(8, 3), Fraction(1))
-    assert k == Fraction(29, 70)
+    assert exact_k(model, ghz_means(8)) == Fraction(29, 70)
+    assert exact_k(model, product_means(8)) == Fraction(64, 70)
+
+
+def test_exact_k_rejects_bad_operands():
+    with pytest.raises(ModelError, match="mean purities"):
+        exact_k(printed_model(8), ghz_means(6))
+    floats = replace(printed_model(4), tau_coeff=1 / 6)
+    with pytest.raises(ModelError, match="rational"):
+        exact_k(floats, ghz_means(4))
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_derived_model_is_pi_me(n):
+    model = derived_model(n)
+    assert model.size_weights() == (0,) * (n // 2) + (1,)
+    assert model.provenance == "derived"
+    assert all(isinstance(c, Fraction) for c in model.coefficients())
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
+def test_derived_model_reproduces_printed_tables(n):
+    assert derived_model(n) == replace(printed_model(n), provenance="derived")
+
+
+def test_derived_model_n10_differs_only_in_w4():
+    derived, printed = derived_model(10), printed_model(10)
+    assert derived.weight_coeffs[3] == Fraction(1, 2016)
+    assert printed.weight_coeffs[3] == Fraction(1, 1008)
+    fixed = replace(printed, weight_coeffs=derived.weight_coeffs, provenance="derived")
+    assert derived == fixed
+    assert exact_k(derived, ghz_means(10)) == Fraction(155, 336)
+    assert exact_k(derived, product_means(10)) == Fraction(323, 336)
+
+
+def test_derived_model_n14():
+    model = derived_model(14)
+    assert model.constant == Fraction(29, 2816)
+    assert model.tau_coeff == Fraction(-1, 3432)
+    assert model.tau_offset == -model.tau_coeff
+    assert abs(evaluate(model, random_state(14, 1414)).residual) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 3, -2])
+def test_derived_model_rejects_odd_or_small_n(n):
+    with pytest.raises(ModelError):
+        derived_model(n)
+
+
+def test_evaluate_rejects_unknown_strategy():
+    # at n = 2 there is no M_k to compute, so the name must be checked first
+    for n in (2, 4):
+        with pytest.raises(ModelError, match="strategy"):
+            evaluate(printed_model(n), make_ghz(n), strategy="typo")
 
 
 def test_conjecture_audit_rows():
@@ -183,6 +238,11 @@ def test_known_errata_flags():
     assert len(flags) == 2
     assert any("n=10" in f for f in flags)
     assert any("copy error" in f for f in flags)
+
+
+def test_known_errata_names_the_n10_weight4_coefficient():
+    (n10,) = [f for f in known_errata() if f.startswith("n=10")]
+    assert "weight-4" in n10 and "1/1008" in n10 and "1/2016" in n10
 
 
 @given(seed=st.integers(0, 2**32))
