@@ -19,7 +19,13 @@ from .decomposition import (
     verify_identity,
 )
 from .pauli import PauliString, WeightSums, expectation, f_invariant, n_tangle, weight_sums
-from .purity import PurityReport, average_balanced_purity, reduced_purity, subset_purities
+from .purity import (
+    PurityReport,
+    average_balanced_purity,
+    reduced_purity,
+    subset_purities,
+    subset_purity_tables,
+)
 from .reports import psi_m8_audit
 from .search import SearchConfig, SearchResult, gradient_check, minimize_average_purity
 from .states import (

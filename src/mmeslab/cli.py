@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="invariants of a state file")
     p_inv.add_argument("--in", dest="in_path", required=True)
-    p_inv.add_argument("--max-weight", type=int, default=4)
+    p_inv.add_argument("--max-weight", type=int, help="largest k of M_k (default: min(4, n))")
     p_inv.add_argument("--no-tangle", action="store_true")
     p_inv.add_argument("--no-purity", action="store_true")
 
@@ -128,18 +128,19 @@ def _cmd_state(args, argv) -> int:
 
 def _cmd_invariants(args, argv) -> int:
     state = load_state(args.in_path)
-    if not 1 <= args.max_weight <= state.n:
+    max_weight = min(4, state.n) if args.max_weight is None else args.max_weight
+    if not 1 <= max_weight <= state.n:
         print(f"--max-weight must be in [1, {state.n}]", file=sys.stderr)
         return EXIT_BAD_INPUT
     results, errata = reports.invariants_results(
         state,
-        args.max_weight,
+        max_weight,
         with_tangle=not args.no_tangle,
         with_purity=not args.no_purity,
     )
     doc = reports.report_document(
         argv,
-        inputs={"state_file": args.in_path, "max_weight": args.max_weight},
+        inputs={"state_file": args.in_path, "max_weight": max_weight},
         results=results,
         errata_flags=errata,
     )

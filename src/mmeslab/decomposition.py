@@ -5,20 +5,24 @@ only at evaluation time, so comparisons against the published tables are
 exact.  ``derived_model`` derives the table for any even n from
 ``size_weights`` alone, so the printed tables are checked coefficient by
 coefficient in exact arithmetic; ``fit_coefficients`` is the independent
-numerical cross-check.  Residual sign convention, fixed package-wide:
+numerical cross-check.  ``verify_identity`` and ``fit_coefficients`` draw
+their states lazily and take the subset-purity tables a chunk of states at
+a time from ``subset_purity_tables``; each report equals what ``evaluate``
+gives on the state alone.  Residual sign convention, fixed package-wide:
 oracle minus model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from math import comb, inf
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .pauli import moebius_weight_sums, n_tangle, weight_sums
-from .purity import purity_report, subset_purities
+from .purity import purity_report, subset_purities, subset_purity_tables
 
 # Not called here since pi_ME comes from the purity table, but kept as a
 # module attribute: perfbench/spans.py wraps it under this name.
@@ -273,16 +277,26 @@ def verify_identity(
     tol: float,
     model: DecompositionModel | None = None,
 ) -> VerificationSummary:
-    """Check pi_ME = C + K on canonical plus Haar-random states."""
+    """Check pi_ME = C + K on canonical plus Haar-random states.
+
+    The states are drawn lazily and their subset-purity tables computed a
+    chunk at a time (``subset_purity_tables``).
+    """
     if not 0 <= tol < inf:  # written so that a NaN tol fails
         raise ModelError(f"tol must be a finite number >= 0, got {tol!r}")
     if samples < 1:
         raise ModelError(f"need samples >= 1, got {samples}")
     model = model if model is not None else printed_model(n)
-    reports = [evaluate(model, state, label) for label, state in canonical_states(n)]
-    for i in range(samples):
-        state = random_state(n, seed, i + 1)
-        reports.append(evaluate(model, state, f"random[{i}]"))
+    canonical = canonical_states(n)
+    labels = [label for label, _ in canonical] + [f"random[{i}]" for i in range(samples)]
+    states = chain(
+        (state for _, state in canonical),
+        (random_state(n, seed, i + 1) for i in range(samples)),
+    )
+    reports = [
+        evaluate(model, state, label, purities=table)
+        for label, (state, table) in zip(labels, subset_purity_tables(states))
+    ]
     worst = max(abs(r.residual) for r in reports)
     return VerificationSummary(
         n=n, tol=tol, reports=tuple(reports), max_abs_residual=worst, passed=worst <= tol
@@ -314,10 +328,10 @@ class FitDiagnostics:
     snapped: bool
 
 
-def _feature_rows(n: int, states: Sequence[QState]) -> tuple[np.ndarray, np.ndarray]:
+def _feature_rows(n: int, states: Iterable[QState]) -> tuple[np.ndarray, np.ndarray]:
     rows, targets = [], []
-    for state in states:
-        m, tau, oracle = _invariants(state, n // 2 - 1, "moebius")
+    for state, table in subset_purity_tables(states):
+        m, tau, oracle = _invariants(state, n // 2 - 1, "moebius", table)
         rows.append([1.0, *m, tau])
         targets.append(oracle)
     return np.array(rows), np.array(targets)
@@ -335,23 +349,27 @@ def fit_coefficients(
     excluded by construction because purity identities make it linearly
     dependent on the rest.  Near-rational coefficients are snapped to
     small-denominator fractions and kept only if the held-out residual does
-    not degrade beyond ``SNAP_TOL``.
+    not degrade beyond ``SNAP_TOL``.  States are drawn lazily and their
+    subset-purity tables computed a chunk at a time
+    (``subset_purity_tables``), so no sample set is held in memory.
     """
     if n not in SUPPORTED_N:
         raise ModelError(f"fit supports n in {SUPPORTED_N}, got {n}")
     min_samples = 4 * (n // 2 + 2)
     if samples < min_samples:
         raise ModelError(f"need at least {min_samples} samples for n={n}")
+    if type(holdout_samples) is not int or holdout_samples < 1:
+        raise ModelError(f"holdout_samples must be an int >= 1, got {holdout_samples!r}")
 
-    train = [random_state(n, seed, i + 1) for i in range(samples)]
+    train = (random_state(n, seed, i + 1) for i in range(samples))
     x_train, y_train = _feature_rows(n, train)
     coeffs, _, rank, svals = np.linalg.lstsq(x_train, y_train, rcond=None)
     train_resid = float(np.max(np.abs(y_train - x_train @ coeffs)))
 
-    held = [
+    held = (
         random_state(n, seed, _HOLDOUT_STREAM + samples + i + 1)
         for i in range(holdout_samples)
-    ]
+    )
     x_hold, y_hold = _feature_rows(n, held)
     hold_resid = float(np.max(np.abs(y_hold - x_hold @ coeffs)))
 

@@ -121,6 +121,26 @@ def test_invariants_one_qubit_skips_purity(tmp_path, capsys):
     assert "purity" not in doc["results"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_invariants_default_max_weight_fits_small_states(tmp_path, capsys, n):
+    out = tmp_path / f"g{n}.json"
+    kind = "basis" if n == 1 else "ghz"
+    run(capsys, "state", "--kind", kind, "--n", str(n), "--out", str(out))
+    code, doc, _ = run(capsys, "invariants", "--in", str(out))
+    assert code == 0
+    assert len(doc["results"]["weight_sums"]["m"]) == n
+    assert doc["inputs"]["max_weight"] == n
+
+
+def test_invariants_explicit_max_weight_above_n_exits_2(tmp_path, capsys):
+    out = tmp_path / "g3.json"
+    run(capsys, "state", "--kind", "ghz", "--n", "3", "--out", str(out))
+    code, doc, err = run(capsys, "invariants", "--in", str(out), "--max-weight", "5")
+    assert code == 2
+    assert doc is None
+    assert "--max-weight must be in [1, 3]" in err
+
+
 def test_invariants_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmeslab import decomposition
 from mmeslab.decomposition import (
     ModelError,
     conjecture_audit,
@@ -18,6 +19,7 @@ from mmeslab.decomposition import (
     verify_identity,
 )
 from mmeslab.pauli import n_tangle, weight_sums
+from mmeslab.purity import subset_purities
 from mmeslab.states import StateError, make_basis_state, make_ghz, random_state
 
 
@@ -147,6 +149,42 @@ def test_fit_recovers_n4_model():
 def test_fit_rejects_underdetermined():
     with pytest.raises(ModelError):
         fit_coefficients(4, samples=5, seed=0)
+
+
+@pytest.mark.parametrize("holdout", [0, -3, 2.0, True])
+def test_fit_rejects_holdout_samples_below_one(holdout, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a state was drawn before the arguments were checked")
+
+    monkeypatch.setattr(decomposition, "random_state", no_draw)
+    with pytest.raises(ModelError, match="holdout_samples"):
+        fit_coefficients(4, 24, 0, holdout_samples=holdout)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_equals_per_state_table_reference(seed, monkeypatch):
+    # 40 + 13 states at n = 8: one full chunk of 32 and two partial ones
+    batched = fit_coefficients(8, 40, seed, holdout_samples=13)
+    monkeypatch.setattr(
+        decomposition,
+        "subset_purity_tables",
+        lambda states: ((state, subset_purities(state)) for state in states),
+    )
+    assert fit_coefficients(8, 40, seed, holdout_samples=13) == batched
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_identity_equals_per_state_evaluate(seed):
+    summary = verify_identity(8, 20, seed, 1e-9)
+    labelled = decomposition.canonical_states(8)
+    labelled += [(f"random[{i}]", random_state(8, seed, i + 1)) for i in range(20)]
+    reference = []
+    for label, state in labelled:
+        table = subset_purities(state)
+        reference.append(evaluate(printed_model(8), state, label, purities=table))
+    assert summary.reports == tuple(reference)
+    assert summary.max_abs_residual == max(abs(r.residual) for r in reference)
+    assert summary.passed
 
 
 def test_fit_and_verify_seed_range():

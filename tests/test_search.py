@@ -4,7 +4,7 @@ import pytest
 from mmeslab.decomposition import evaluate, printed_model
 from mmeslab.pauli import n_tangle, weight_sums
 from mmeslab import purity
-from mmeslab.purity import average_balanced_purity, subset_purities
+from mmeslab.purity import average_balanced_purity, subset_purities, subset_purity_tables
 from mmeslab.search import (
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
@@ -91,14 +91,19 @@ def test_block_boundaries_do_not_matter(n, monkeypatch):
     state = random_state(n, 700 + n)
     model = _make_model_objective(printed_model(n))
 
+    states = [random_state(n, 710 + n, i) for i in range(5)]
+
     def run():
         amps = state.amplitudes
-        return subset_purities(state), _oracle_objective_and_grad(amps), model(amps)
+        batch = [table for _, table in subset_purity_tables(states)]
+        return subset_purities(state), batch, _oracle_objective_and_grad(amps), model(amps)
 
-    table, *kernels = run()
+    table, batch, *kernels = run()
     monkeypatch.setattr(purity, "_BLOCK_AMPS", 1 << n)  # one cut per block
-    one_per_block, *split = run()
+    one_per_block, split_batch, *split = run()  # and chunks of 2 states
     np.testing.assert_array_equal(one_per_block, table)
+    for got, want in zip(split_batch, batch, strict=True):
+        np.testing.assert_array_equal(got, want)
     for (value, grad), (split_value, split_grad) in zip(kernels, split):
         assert split_value == pytest.approx(value, abs=1e-13)
         np.testing.assert_allclose(split_grad, grad, rtol=0, atol=1e-13)
