@@ -5,27 +5,30 @@ only at evaluation time, so comparisons against the published tables are
 exact.  ``derived_model`` derives the table for any even n from
 ``size_weights`` alone, so the printed tables are checked coefficient by
 coefficient in exact arithmetic; ``fit_coefficients`` is the independent
-numerical cross-check.  ``verify_identity`` and ``fit_coefficients`` draw
-their states lazily and take the subset-purity tables a chunk of states at
-a time from ``subset_purity_tables``; each report equals what ``evaluate``
-gives on the state alone.  Residual sign convention, fixed package-wide:
-oracle minus model.
+numerical cross-check.  ``evaluate`` scores a state off its subset-purity
+table; ``verify_identity`` (printed model) and ``fit_coefficients`` (feature
+rows from ``derived_model`` reports) draw their states lazily and hand it
+each table of ``subset_purity_tables``.  Residual sign convention, fixed
+package-wide: oracle minus model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import comb, inf
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import moebius_weight_sums, n_tangle, weight_sums
-from .purity import purity_report, subset_purities, subset_purity_tables
+from .pauli import moebius_weight_sums, n_tangle
+from .purity import balanced_purities, subset_purities, subset_purity_tables
 
-# Not called here since pi_ME comes from the purity table, but kept as a
-# module attribute: perfbench/spans.py wraps it under this name.
+# Not called here, since pi_ME and every M_k come from the purity table, but
+# kept as module attributes: perfbench/spans.py wraps ``weight_sums`` and
+# ``average_balanced_purity`` under these names.
+from .pauli import weight_sums  # noqa: F401
 from .purity import average_balanced_purity  # noqa: F401
 from .states import STREAM_MULTIPLIER, QState, make_basis_state, make_ghz, make_w, random_state
 
@@ -174,6 +177,7 @@ def printed_model(n: int) -> DecompositionModel:
         raise ModelError(f"no printed model for n={n}; supported: {SUPPORTED_N}")
 
 
+@lru_cache(maxsize=None)
 def derived_model(n: int) -> DecompositionModel:
     """The exact model for any even n >= 2: ``size_weights`` = (0, ..., 0, 1).
 
@@ -181,7 +185,8 @@ def derived_model(n: int) -> DecompositionModel:
     reaches lambda_k, so the w_k follow by back-substitution from k = n/2 - 1
     down to 1; C + tau_offset then cancels lambda_0.  C and tau_offset are
     split as in the printed tables: tau_offset = -tau_coeff for n = 2 mod 4
-    (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.
+    (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.  Cached: the
+    model is frozen and depends on n alone.
     """
     if n % 2 or n < 2:
         raise ModelError(f"models are defined for even n >= 2, got {n}")
@@ -210,40 +215,27 @@ class KReport:
     provenance: str
 
 
-def _invariants(
-    state: QState, k_max: int, strategy: str, purities: np.ndarray | None = None
-) -> tuple[tuple[float, ...], float, float]:
-    """(M_1..M_k_max, tau, oracle pi_ME) of one state, from one purity table."""
-    if strategy not in ("moebius", "enumeration"):
-        raise ModelError(f"unknown weight-sum strategy {strategy!r}")
-    if purities is None:
-        purities = subset_purities(state)
-    if not k_max:
-        m = ()
-    elif strategy == "moebius":
-        m = moebius_weight_sums(purities, k_max)
-    else:
-        m = weight_sums(state, k_max, strategy=strategy).m
-    return m, n_tangle(state), purity_report(purities).mean
-
-
 def evaluate(
     model: DecompositionModel,
     state: QState,
     label: str = "state",
-    strategy: str = "moebius",
     purities: np.ndarray | None = None,
 ) -> KReport:
     """Score a state: invariants, model K, oracle pi_ME, and their residual.
 
-    The oracle pi_ME (and, under ``moebius``, every M_k) is read off the
-    state's ``subset_purities`` table; pass ``purities`` to reuse one
-    already computed.  ``enumeration`` sums the M_k over Pauli strings
-    instead, independently of the table.
+    The oracle pi_ME and every M_k are read off the state's
+    ``subset_purities`` table; pass ``purities`` to reuse one already
+    computed.  ``weight_sums(state, k, "enumeration")`` is the independent
+    Pauli-side path to the same M_k.
     """
     if model.n != state.n:
         raise ModelError(f"model for n={model.n} applied to n={state.n} state")
-    m, tau, oracle = _invariants(state, model.n // 2 - 1, strategy, purities)
+    if purities is None:
+        purities = subset_purities(state)
+    k_max = model.n // 2 - 1
+    m = moebius_weight_sums(purities, k_max) if k_max else ()
+    tau = n_tangle(state)
+    oracle = float(np.mean(balanced_purities(purities)))
     k_val = model.k_value(m, tau)
     return KReport(
         label=label,
@@ -270,14 +262,8 @@ class VerificationSummary:
     passed: bool
 
 
-def verify_identity(
-    n: int,
-    samples: int,
-    seed: int,
-    tol: float,
-    model: DecompositionModel | None = None,
-) -> VerificationSummary:
-    """Check pi_ME = C + K on canonical plus Haar-random states.
+def verify_identity(n: int, samples: int, seed: int, tol: float) -> VerificationSummary:
+    """Check the printed pi_ME = C + K on canonical plus Haar-random states.
 
     The states are drawn lazily and their subset-purity tables computed a
     chunk at a time (``subset_purity_tables``).
@@ -286,7 +272,7 @@ def verify_identity(
         raise ModelError(f"tol must be a finite number >= 0, got {tol!r}")
     if samples < 1:
         raise ModelError(f"need samples >= 1, got {samples}")
-    model = model if model is not None else printed_model(n)
+    model = printed_model(n)
     canonical = canonical_states(n)
     labels = [label for label, _ in canonical] + [f"random[{i}]" for i in range(samples)]
     states = chain(
@@ -329,11 +315,12 @@ class FitDiagnostics:
 
 
 def _feature_rows(n: int, states: Iterable[QState]) -> tuple[np.ndarray, np.ndarray]:
+    model = derived_model(n)
     rows, targets = [], []
     for state, table in subset_purity_tables(states):
-        m, tau, oracle = _invariants(state, n // 2 - 1, "moebius", table)
-        rows.append([1.0, *m, tau])
-        targets.append(oracle)
+        report = evaluate(model, state, purities=table)
+        rows.append([1.0, *report.m, report.tau])
+        targets.append(report.pi_me_oracle)
     return np.array(rows), np.array(targets)
 
 

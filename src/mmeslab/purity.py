@@ -4,7 +4,7 @@ This is the ground-truth side of every identity check in the package: it
 reshapes the amplitude vector and works with Gram matrices, never touching
 the Pauli kernel.  ``subset_purities`` computes the purity of every subset
 in one pass; pi_ME and every weight sum M_k are linear in that table.
-Every cut purity, here and in both search objectives, comes from one kernel,
+Every cut purity, here and in the search objective, comes from one kernel,
 ``_gram_blocks``, which gathers cut matrices through per-cut offsets from
 amplitudes with any leading axes.  ``subset_purity_tables`` runs it over a
 stack of states at once, so the fit and the verifier share each call's
@@ -274,18 +274,24 @@ class PurityReport:
         return len(self.subsets)
 
 
-def purity_report(purities: np.ndarray) -> PurityReport:
-    """The balanced-bipartition report read off a ``subset_purities`` table.
+def balanced_purities(purities: np.ndarray) -> np.ndarray:
+    """The purities of the C(n, floor(n/2)) balanced subsets, read off a
+    ``subset_purities`` table in lexicographic order; pi_ME is their mean.
 
-    pi_ME is the mean purity over all C(n, floor(n/2)) balanced marginals.
     For even n every unordered bipartition appears twice (once per side);
-    purities coincide for pure states so the mean is unaffected.  The
-    report lists every subset in lexicographic order.
+    purities coincide for pure states so the mean is unaffected.
     """
     n = purities.size.bit_length() - 1
     if n < 2:
         raise StateError(f"balanced bipartitions need n >= 2, got {n}")
-    values = purities[_plan(n).balanced]
+    return purities[_plan(n).balanced]
+
+
+def purity_report(purities: np.ndarray) -> PurityReport:
+    """The balanced-bipartition report read off a ``subset_purities`` table,
+    every subset listed in lexicographic order (``balanced_purities``)."""
+    values = balanced_purities(purities)
+    n = purities.size.bit_length() - 1
     return PurityReport(
         n=n,
         n_a=n // 2,

@@ -179,9 +179,11 @@ def invariants_results(
 # Claimed invariant values for the published 8-qubit state: every F-sum of
 # weight 1..3 vanishes and so does the 8-tangle.
 PSI_M8_CLAIMS = {"M_1": 0.0, "M_2": 0.0, "M_3": 0.0, "tau_8": 0.0}
+# A claim holds when the observed value is within this of the claimed one.
+PSI_M8_CLAIM_TOL = 1e-9
 
 
-def psi_m8_audit(claim_tol: float = 1e-9) -> dict[str, Any]:
+def psi_m8_audit() -> dict[str, Any]:
     """Invariants of the as-printed 8-qubit state vs its published claims.
 
     Whether each claim holds is reported as data; the printed display is
@@ -197,7 +199,7 @@ def psi_m8_audit(claim_tol: float = 1e-9) -> dict[str, Any]:
         key: {
             "claimed": PSI_M8_CLAIMS[key],
             "observed": float(observed[key]),
-            "holds": bool(abs(observed[key] - PSI_M8_CLAIMS[key]) <= claim_tol),
+            "holds": bool(abs(observed[key] - PSI_M8_CLAIMS[key]) <= PSI_M8_CLAIM_TOL),
         }
         for key in PSI_M8_CLAIMS
     }
@@ -206,7 +208,7 @@ def psi_m8_audit(claim_tol: float = 1e-9) -> dict[str, Any]:
         "weight_sums": list(sums.m),
         "n_tangle": tau,
         "pi_me": purity.mean,
-        "claim_tol": claim_tol,
+        "claim_tol": PSI_M8_CLAIM_TOL,
         "claims": comparison,
         "all_claims_hold": all(c["holds"] for c in comparison.values()),
     }

@@ -1,12 +1,12 @@
 """Numerical minimization of the balanced-bipartition average purity.
 
-Both objectives are built on one kernel: the mean Gram-norm purity over the
-qubit subsets of one size.  The oracle objective is pi_ME, that kernel at
-size n/2 over the cuts that contain qubit 1; the complementary side of a cut
-is left out, since ||M M^H||_F = ||M^H M||_F for any matrix.  The "model"
-objective is the printed C + K, which on unit vectors is exactly a constant
-plus a weighted sum of the kernel at each size
-(``DecompositionModel.size_weights``).  The kernel is quartic in the
+Every descent runs on a model's C + K, which on unit vectors is exactly a
+constant plus a weighted sum (``DecompositionModel.size_weights``) of one
+kernel: the mean Gram-norm purity over the qubit subsets of one size.  The
+"model" objective is the printed C + K; the "oracle" objective is the
+derived model's, whose one weight is 1 at size n/2, so it is pi_ME bit for
+bit.  At size n/2 only the cuts that contain qubit 1 are taken, since
+||M M^H||_F = ||M^H M||_F for any matrix.  The kernel is quartic in the
 amplitudes: per subset with reshaped amplitude matrix M the derivative with
 respect to conj(M) is 2 M M^H M, so the Euclidean gradient over the
 (re, im) parameter pairs is 4 M M^H M scattered back into flat index order.
@@ -27,10 +27,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from .decomposition import DecompositionModel, derived_model, printed_model
 from .purity import _gram_blocks, average_balanced_purity
 from .states import QState, StateError, _normalized, check_seed, random_state
 
@@ -47,6 +49,9 @@ _RESTART_STREAM = 0xC0FFEE
 STOP_CONVERGED = "converged"
 STOP_ITERATION_CAP = "iteration cap"
 STOP_LINE_SEARCH = "line search exhausted"
+
+# Central-difference step of ``gradient_check``.
+GRADIENT_CHECK_STEP = 1e-5
 
 
 class SearchError(ValueError):
@@ -92,11 +97,13 @@ class SearchResult:
 
 
 def _mean_purity_and_grad(
-    amps: np.ndarray, size: int, with_grad: bool = True
+    amps: np.ndarray, size: int, with_grad: bool = True, weight: float = 1.0
 ) -> tuple[float, np.ndarray | None]:
     """Mean Gram-norm purity over the subsets of ``size`` qubits (size <= n/2),
-    for the raw (unnormalized) vector, plus its Euclidean real-parameter
-    gradient in complex form (real part = d/d re, imag part = d/d im)."""
+    for the raw (unnormalized) vector, plus ``weight`` times its Euclidean
+    real-parameter gradient in complex form (real part = d/d re, imag part =
+    d/d im).  The weight rides on the gradient's final scaling, so a weighted
+    sum of terms needs no further pass over the gradient."""
     count = 0
     value = 0.0
     grad = np.zeros_like(amps) if with_grad else None
@@ -109,64 +116,63 @@ def _mean_purity_and_grad(
             np.put_along_axis(scattered, idx, (grams @ mats).reshape(idx.shape), axis=1)
             grad += scattered.sum(axis=0)
     if with_grad:
-        grad *= 4.0 / count
+        grad *= 4.0 * weight / count
     return value / count, grad
 
 
-def _oracle_objective_and_grad(
-    amps: np.ndarray, with_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
-    """pi_ME of the raw vector and its gradient: the kernel at size n/2."""
-    return _mean_purity_and_grad(amps, (amps.size.bit_length() - 1) // 2, with_grad)
-
-
 def objective_value(amps: np.ndarray, n: int) -> float:
-    """Raw oracle objective on an arbitrary (not necessarily unit) vector."""
+    """Raw oracle objective on an arbitrary (not necessarily unit) vector:
+    the kernel at size n/2."""
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (1 << n,):
         raise SearchError(f"expected {1 << n} amplitudes for n={n}, got {amps.shape}")
-    value, _ = _oracle_objective_and_grad(amps, with_grad=False)
+    value, _ = _mean_purity_and_grad(amps, n // 2, with_grad=False)
     return value
 
 
-def _make_model_objective(model) -> Callable:
+@lru_cache(maxsize=None)
+def _make_model_objective(model: DecompositionModel) -> Callable:
     """C + K as a descent objective: exact on unit vectors, where it equals
     lambda_0 + sum_m lambda_m * (kernel at size m) for the model's
-    ``size_weights``.  A correct model has the single weight lambda_{n/2} = 1
-    and descends exactly as the oracle does."""
+    ``size_weights``.  A correct model has the single weight lambda_{n/2} = 1,
+    so its objective is the oracle pi_ME bit for bit.  Cached per model, so
+    a search does not redo the exact ``size_weights`` (~0.1 ms at n = 6)."""
     weights = model.size_weights()
     const = float(weights[0])
     terms = [(size, float(w)) for size, w in enumerate(weights) if size and w]
 
     def objective(amps: np.ndarray, with_grad: bool = True):
         value = const
-        grad = np.zeros_like(amps) if with_grad else None
+        grad = None
         for size, weight in terms:
-            purity, purity_grad = _mean_purity_and_grad(amps, size, with_grad)
+            purity, purity_grad = _mean_purity_and_grad(amps, size, with_grad, weight)
             value += weight * purity
-            if with_grad:
-                grad += weight * purity_grad
+            if grad is None:
+                grad = purity_grad
+            else:
+                grad += purity_grad
         return value, grad
 
     return objective
 
 
-def gradient_check(n: int, seed: int, step: float = 1e-5) -> float:
+def gradient_check(n: int, seed: int) -> float:
     """Max deviation between the analytic oracle gradient and central finite
-    differences over all 2^(n+1) real parameters at a Haar-random point."""
+    differences, at step ``GRADIENT_CHECK_STEP``, over all 2^(n+1) real
+    parameters at a Haar-random point."""
     if n % 2 or n < 2 or n > 6:
         raise SearchError(f"gradient_check supports even n in [2, 6], got {n}")
     amps = random_state(n, seed).amplitudes.copy()
-    _, grad = _oracle_objective_and_grad(amps)
+    _, grad = _mean_purity_and_grad(amps, n // 2)
     analytic = grad.view(np.float64)  # (re, im) pairs
     worst = 0.0
     for j in range(analytic.size):
         delta = np.zeros(analytic.size)
-        delta[j] = step
+        delta[j] = GRADIENT_CHECK_STEP
         delta = delta.view(np.complex128)
-        f_plus, _ = _oracle_objective_and_grad(amps + delta, with_grad=False)
-        f_minus, _ = _oracle_objective_and_grad(amps - delta, with_grad=False)
-        worst = max(worst, abs((f_plus - f_minus) / (2 * step) - analytic[j]))
+        f_plus, _ = _mean_purity_and_grad(amps + delta, n // 2, with_grad=False)
+        f_minus, _ = _mean_purity_and_grad(amps - delta, n // 2, with_grad=False)
+        worst = max(worst, abs((f_plus - f_minus) / (2 * GRADIENT_CHECK_STEP) - analytic[j]))
     return worst
 
 
@@ -251,12 +257,8 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
     best value is always the oracle pi_ME of the best state, regardless of
     the objective used during descent."""
     n = config.n
-    if config.objective == "model":
-        from .decomposition import printed_model
-
-        objective = _make_model_objective(printed_model(n))
-    else:
-        objective = _oracle_objective_and_grad
+    model = printed_model(n) if config.objective == "model" else derived_model(n)
+    objective = _make_model_objective(model)
     t0 = time.perf_counter()
     values, iterations, stops, grad_norms = [], [], [], []
     best_x, best_f = None, np.inf

@@ -112,7 +112,7 @@ def test_criterion_5_n12_self_consistency():
             (make_ghz(12), Fraction(3539, 7392)),
             (make_basis_state(12, 0), Fraction(7235, 7392)),
         ]:
-            rep = evaluate(model, state, strategy="moebius")
+            rep = evaluate(model, state)
             assert rep.residual == pytest.approx(0.0, abs=1e-10)
             assert rep.k_model == pytest.approx(float(k_expected), abs=1e-10)
         assert any("copy error" in flag for flag in known_errata())

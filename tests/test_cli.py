@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from jsonschema import validate
 
-from mmeslab import reports
+from mmeslab import decomposition, reports
 from mmeslab.cli import main
 from mmeslab.states import load_state
 
@@ -200,6 +201,27 @@ def test_verify_exit_codes(capsys):
     assert doc["errata_flags"]
     code, _, _ = run(capsys, "verify", "--n", "7", "--samples", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fit", "--n", "7"], "got 7"),
+        (["fit", "--n", "14"], "got 14"),
+        (["verify", "--n", "14", "--samples", "2"], "n=14"),
+    ],
+    ids=["fit-7", "fit-14", "verify-14"],
+)
+def test_unsupported_n_exits_2_without_drawing_a_state(monkeypatch, capsys, argv, named):
+    # the library rejects the n; the CLI only turns its error into exit 2
+    def no_draw(*args):
+        raise AssertionError("a state was drawn before n was checked")
+
+    monkeypatch.setattr(decomposition, "random_state", no_draw)
+    code, doc, err = run(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err.startswith("error:")
+    assert re.search(rf"\b{named}\b", err)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

@@ -114,10 +114,11 @@ def test_ghz10_errata_residual():
 def test_evaluate_enumeration_at_n12():
     # Pauli-side check of the weight-5 model, independent of the purity table
     state = random_state(12, 1212)
-    enum = evaluate(printed_model(12), state, strategy="enumeration")
-    assert abs(enum.residual) <= 1e-9
-    table = evaluate(printed_model(12), state)
-    assert enum.m == pytest.approx(table.m, abs=1e-8)
+    model = printed_model(12)
+    m = weight_sums(state, 5, "enumeration").m
+    report = evaluate(model, state)
+    assert abs(report.pi_me_oracle - model.predict(m, n_tangle(state))) <= 1e-9
+    assert m == pytest.approx(report.m, abs=1e-8)
 
 
 def test_verify_identity_pass_and_fail():
@@ -249,13 +250,6 @@ def test_derived_model_n14():
 def test_derived_model_rejects_odd_or_small_n(n):
     with pytest.raises(ModelError):
         derived_model(n)
-
-
-def test_evaluate_rejects_unknown_strategy():
-    # at n = 2 there is no M_k to compute, so the name must be checked first
-    for n in (2, 4):
-        with pytest.raises(ModelError, match="strategy"):
-            evaluate(printed_model(n), make_ghz(n), strategy="typo")
 
 
 def test_conjecture_audit_rows():

@@ -11,7 +11,7 @@ from mmeslab.search import (
     SearchConfig,
     SearchError,
     _make_model_objective,
-    _oracle_objective_and_grad,
+    _mean_purity_and_grad,
     gradient_check,
     minimize_average_purity,
     objective_value,
@@ -49,10 +49,10 @@ def test_gradient_directional_derivative(n):
     # gradient_check covers n <= 6, where every cut fits in one block
     amps = random_state(n, 20 + n).amplitudes.copy()
     direction = random_state(n, 40 + n).amplitudes
-    _, grad = _oracle_objective_and_grad(amps)
+    _, grad = _mean_purity_and_grad(amps, n // 2)
     h = 1e-5
-    f_plus, _ = _oracle_objective_and_grad(amps + h * direction, with_grad=False)
-    f_minus, _ = _oracle_objective_and_grad(amps - h * direction, with_grad=False)
+    f_plus, _ = _mean_purity_and_grad(amps + h * direction, n // 2, with_grad=False)
+    f_minus, _ = _mean_purity_and_grad(amps - h * direction, n // 2, with_grad=False)
     analytic = np.real(np.vdot(grad, direction))
     assert (f_plus - f_minus) / (2 * h) == pytest.approx(analytic, abs=1e-8)
 
@@ -96,7 +96,7 @@ def test_block_boundaries_do_not_matter(n, monkeypatch):
     def run():
         amps = state.amplitudes
         batch = [table for _, table in subset_purity_tables(states)]
-        return subset_purities(state), batch, _oracle_objective_and_grad(amps), model(amps)
+        return subset_purities(state), batch, _mean_purity_and_grad(amps, n // 2), model(amps)
 
     table, batch, *kernels = run()
     monkeypatch.setattr(purity, "_BLOCK_AMPS", 1 << n)  # one cut per block
