@@ -232,6 +232,8 @@ def evaluate(
         raise ModelError(f"model for n={model.n} applied to n={state.n} state")
     if purities is None:
         purities = subset_purities(state)
+    elif purities.size != state.dim:
+        raise ModelError(f"purity table of {purities.size} entries for an n={state.n} state")
     k_max = model.n // 2 - 1
     m = moebius_weight_sums(purities, k_max) if k_max else ()
     tau = n_tangle(state)

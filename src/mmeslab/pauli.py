@@ -12,8 +12,11 @@ so an expectation value is a single gather + signed dot product, O(2^n).
 The weight sums M_k are the coefficients of the quantum weight enumerator.
 For a flip mask f, the products b_f[i] = conj(a[i ^ f]) * a[i] are shared by
 all 2^n phase masks z, so one Walsh-Hadamard transform of b_f gives every
-<P_{f,z}>; binning <P>^2 by the weight popcount(f | z) gives the M_k.
-``f_invariant`` is the per-string reference path for that transform.
+<P_{f,z}>; binning <P>^2 by the weight popcount(f | z) gives the M_k.  Up
+to weight k_max, f needs only the z with popcount(z & ~f) <= k_max -
+popcount(f), so each transform is restricted to those rows and columns of
+its two Hadamard factors (``_flip_groups``).  ``f_invariant`` is the
+per-string reference path for that transform.
 """
 from __future__ import annotations
 
@@ -135,36 +138,112 @@ def _hadamard(bits: int) -> np.ndarray:
     return h
 
 
+@dataclass(frozen=True)
+class _FlipGroup:
+    """Flip masks transformed alike by ``_weight_enumerator``.
+
+    Flip mask ``flips[j]`` is transformed onto the phase masks whose hi part
+    is in ``rows[hi_part[j]]`` and whose lo part is in ``cols[lo_part[j]]``;
+    ``rows`` None means onto all 2^n phase masks.
+    """
+
+    flips: np.ndarray
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    hi_part: np.ndarray | None = None
+    lo_part: np.ndarray | None = None
+
+
+def _kept(parts: np.ndarray, bits: int, spare: int) -> np.ndarray:
+    """Per flip-mask part f, the phase-mask parts z in [0, 2^bits) with
+    popcount(z & ~f) <= spare, one row each (rows have equal lengths when
+    the parts share a popcount)."""
+    keep = np.bitwise_count(_indices(bits) & ~parts[:, None]) <= spare
+    return np.nonzero(keep)[1].reshape(parts.size, -1)
+
+
+@lru_cache(maxsize=None)
+def _flip_groups(n: int, k_max: int, per_block: int) -> tuple[_FlipGroup, ...]:
+    """The flip masks with popcount <= k_max, grouped for ``_weight_enumerator``
+    to transform ``per_block`` at a time.
+
+    A string with flip mask f = (f_hi, f_lo) and phase mask z = (z_hi, z_lo)
+    has weight popcount(f) + popcount(z_hi & ~f_hi) + popcount(z_lo & ~f_lo),
+    so f can reach weight <= k_max only on the rows z_hi and the columns z_lo
+    that have popcount(z & ~f) <= k_max - popcount(f) on their side.  Flip
+    masks whose hi and lo parts have the same popcounts keep equally many
+    rows and columns, and form one group, which lists the selection of each
+    distinct part once.  Each group costs at least one block, so a group
+    with fewer than ``per_block`` flip masks, or one that would keep more
+    than half of the 2^n phase masks, joins the first group instead: that
+    one transforms onto all of them in flip-mask order.  So k_max = n, and
+    n <= 7 with the default block size, run the full transform only.  Built
+    without sort-based numpy calls: the first one in a process costs ~1 MB of
+    RSS.
+    """
+    hi, lo = (n + 1) // 2, n // 2
+    parts_hi, parts_lo = _indices(hi), _indices(lo)
+    complete = np.zeros(1 << n, dtype=bool)
+    restricted = []
+    for w_hi in range(min(hi, k_max) + 1):
+        f_hi = parts_hi[np.bitwise_count(parts_hi) == w_hi]
+        for w_lo in range(min(lo, k_max - w_hi) + 1):
+            f_lo = parts_lo[np.bitwise_count(parts_lo) == w_lo]
+            flips = ((f_hi[:, None] << lo) | f_lo).ravel()
+            spare = k_max - w_hi - w_lo
+            rows, cols = _kept(f_hi, hi, spare), _kept(f_lo, lo, spare)
+            if flips.size < per_block or 2 * rows.shape[1] * cols.shape[1] > 1 << n:
+                complete[flips] = True
+            else:
+                hi_part, lo_part = np.divmod(np.arange(flips.size), f_lo.size)
+                restricted.append(_FlipGroup(flips, rows, cols, hi_part, lo_part))
+    first = [_FlipGroup(_indices(n)[complete])] if complete.any() else []
+    return tuple(first + restricted)
+
+
 def _weight_enumerator(state: QState, k_max: int) -> np.ndarray:
     """M_w = sum of <P>^2 over the Pauli strings P of weight w, for w = 1..k_max.
 
     A string with flip mask f and phase mask z has weight popcount(f | z) and
     <P_{f,z}> = i^popcount(f & z) * (H b_f)[z], where b_f[i] =
-    conj(a[i ^ f]) * a[i] and H is the Walsh-Hadamard transform over i, done
-    as two small real matmuls.  Only flip masks with popcount(f) <= k_max can
-    reach weight k_max, and they are transformed in blocks of at most
-    ``_BLOCK_AMPS`` amplitudes.
+    conj(a[i ^ f]) * a[i] and H is the Walsh-Hadamard transform over i.  It
+    is done as two small real matmuls on b_f as a 2^hi x 2^lo matrix (hi =
+    ceil(n/2) leading bits of i): ``_hadamard(hi)`` on the left and
+    ``_hadamard(lo)`` on the right.  Only flip masks with popcount(f) <=
+    k_max can reach weight k_max, and only the Hadamard rows and columns that
+    ``_flip_groups`` keeps for f are multiplied.  Flip masks are transformed
+    in blocks of at most ``_BLOCK_AMPS`` amplitudes, and strings formed
+    beyond weight k_max are dropped when binning.
     """
     n = state.n
     a = state.amplitudes
+    conj_a = np.conj(a)
     idx = _indices(n)
-    flips = idx[np.bitwise_count(idx) <= k_max]
-    h_hi, h_lo = _hadamard((n + 1) // 2), _hadamard(n // 2)
+    hi, lo = (n + 1) // 2, n // 2
+    h_hi, h_lo = _hadamard(hi), _hadamard(lo)
     per_block = max(1, _BLOCK_AMPS >> n)
     sums = np.zeros(n + 1)
     worst_imag = 0.0
-    for start in range(0, flips.size, per_block):
-        f = flips[start : start + per_block, None]
-        b = np.conj(a[idx ^ f]) * a
-        parts = np.stack((b.real, b.imag)).reshape(2, f.size, h_hi.shape[0], -1)
-        h_re, h_im = (h_hi @ parts @ h_lo).reshape(2, f.size, -1)
-        # i^{n_y} with n_y odd swaps the real and imaginary parts (up to sign)
-        odd = (np.bitwise_count(f & idx) & 1).astype(bool)
-        real = np.where(odd, h_im, h_re)
-        worst_imag = max(worst_imag, float(np.abs(np.where(odd, h_re, h_im)).max()))
-        sums += np.bincount(
-            np.bitwise_count(f | idx).ravel(), weights=(real * real).ravel(), minlength=n + 1
-        )
+    for group in _flip_groups(n, k_max, per_block):
+        for start in range(0, group.flips.size, per_block):
+            block = slice(start, start + per_block)
+            f = group.flips[block, None]
+            b = conj_a.take(idx ^ f) * a
+            parts = np.array((b.real, b.imag)).reshape(2, f.size, 1 << hi, 1 << lo)
+            if group.rows is None:
+                z, h = idx, h_hi @ parts @ h_lo
+            else:
+                rows, cols = group.rows[group.hi_part[block]], group.cols[group.lo_part[block]]
+                z = ((rows << lo)[:, :, None] | cols[:, None, :]).reshape(f.size, -1)
+                h = h_hi[rows] @ parts @ h_lo[cols].swapaxes(1, 2)
+            h_re, h_im = h.reshape(2, f.size, -1)
+            # i^{n_y} with n_y odd swaps the real and imaginary parts (up to sign)
+            odd = (np.bitwise_count(f & z) & 1).astype(bool)
+            real = np.where(odd, h_im, h_re)
+            worst_imag = max(worst_imag, float(np.abs(np.where(odd, h_re, h_im)).max()))
+            sums += np.bincount(
+                np.bitwise_count(f | z).ravel(), weights=(real * real).ravel(), minlength=n + 1
+            )
     if worst_imag > IMAG_TOL:
         raise PauliError(f"non-Hermitian residue {worst_imag!r} in the weight enumerator")
     return sums[1 : k_max + 1]
@@ -187,8 +266,9 @@ def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> Wei
     """M_k for k = 1..k_max, from the Pauli side or by Moebius inversion.
 
     ``enumeration`` squares every Pauli expectation of weight <= k_max: one
-    Walsh-Hadamard transform per flip mask f with popcount(f) <= k_max, binned
-    by popcount(f | z) (see ``_weight_enumerator``).  ``moebius`` derives the
+    Walsh-Hadamard transform per flip mask f with popcount(f) <= k_max, onto
+    the phase masks z that can still reach weight k_max, binned by
+    popcount(f | z) (see ``_weight_enumerator``).  ``moebius`` derives the
     same sums from the subset-purity table (see ``moebius_weight_sums``).  The
     two share no code and cross-check each other.
     """
@@ -211,6 +291,8 @@ def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
         G_m = sum_{k<=m} C(n-k, m-k) * M_k.
     """
     n = purities.size.bit_length() - 1
+    if n < 1 or purities.size != 1 << n:
+        raise PauliError(f"a subset-purity table has 2^n entries, n >= 1; got {purities.size}")
     if not 1 <= k_max <= n:
         raise PauliError(f"k_max must be in [1, {n}], got {k_max}")
     sizes = np.bitwise_count(np.arange(purities.size, dtype=np.uint32))

@@ -282,6 +282,8 @@ def balanced_purities(purities: np.ndarray) -> np.ndarray:
     purities coincide for pure states so the mean is unaffected.
     """
     n = purities.size.bit_length() - 1
+    if purities.size != 1 << n:
+        raise StateError(f"a subset-purity table has 2^n entries; got {purities.size}")
     if n < 2:
         raise StateError(f"balanced bipartitions need n >= 2, got {n}")
     return purities[_plan(n).balanced]

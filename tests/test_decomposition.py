@@ -121,6 +121,13 @@ def test_evaluate_enumeration_at_n12():
     assert m == pytest.approx(report.m, abs=1e-8)
 
 
+def test_evaluate_rejects_a_purity_table_of_another_size():
+    # a 6-qubit table would otherwise be read as the 4-qubit state's
+    table = subset_purities(random_state(6, 2))
+    with pytest.raises(ModelError, match="purity table"):
+        evaluate(printed_model(4), random_state(4, 1), purities=table)
+
+
 def test_verify_identity_pass_and_fail():
     assert verify_identity(4, samples=20, seed=1, tol=1e-9).passed
     assert verify_identity(2, samples=20, seed=2, tol=1e-10).passed

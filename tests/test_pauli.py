@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from mmeslab.pauli import (
     PauliString,
     expectation,
     f_invariant,
+    moebius_weight_sums,
     n_tangle,
     weight_sums,
 )
@@ -91,26 +93,102 @@ def test_f_invariant_rejects_bad_subset():
         f_invariant(make_ghz(4), {0})
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_enumeration_matches_f_invariant_reference(n):
-    # the one-transform kernel against the per-string reference, weight by weight
-    for state in (make_basis_state(n, 0), make_ghz(n), make_w(n), random_state(n, 21)):
-        m = weight_sums(state, n, "enumeration").m
-        for k in range(1, n + 1):
-            reference = sum(
-                f_invariant(state, subset)
-                for subset in combinations(range(1, n + 1), k)
-            )
-            assert m[k - 1] == pytest.approx(reference, abs=1e-10)
+def _reference_states(n):
+    return (make_basis_state(n, 0), make_ghz(n), make_w(n), random_state(n, 21))
+
+
+@lru_cache(maxsize=None)
+def _f_invariant_sums(n):
+    """Per reference state, M_1..M_n summed from ``f_invariant`` string by string."""
+    return tuple(
+        tuple(
+            sum(f_invariant(state, subset) for subset in combinations(range(1, n + 1), k))
+            for k in range(1, n + 1)
+        )
+        for state in _reference_states(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "one_flip_blocks", [False, True], ids=["default-blocks", "one-flip-blocks"]
+)
+@pytest.mark.parametrize(
+    "n, k_max", [(n, k) for n in (4, 5, 6) for k in range(1, n + 1)]
+)
+def test_enumeration_matches_f_invariant_reference(monkeypatch, n, k_max, one_flip_blocks):
+    # the one-transform kernel against the per-string reference, weight by
+    # weight; at n = 5 the hi and lo halves of the index differ in size.
+    # Default blocks run the full transform at these n; blocks of one flip
+    # mask restrict every group that keeps at most half of the phase masks.
+    if one_flip_blocks:
+        monkeypatch.setattr(pauli, "_BLOCK_AMPS", 1)
+    for state, reference in zip(_reference_states(n), _f_invariant_sums(n)):
+        m = weight_sums(state, k_max, "enumeration").m
+        assert m == pytest.approx(reference[:k_max], abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flip_groups_form_every_reachable_string_once(n):
+    for k_max in range(1, n + 1):
+        for per_block in (1, max(1, pauli._BLOCK_AMPS >> n)):
+            formed = set()
+            for group in pauli._flip_groups(n, k_max, per_block):
+                if group.rows is None:
+                    zs = [range(1 << n)] * group.flips.size
+                else:
+                    assert group.flips.size >= per_block
+                    rows, cols = group.rows.tolist(), group.cols.tolist()
+                    zs = [
+                        [(r << n // 2) | c for r in rows[i] for c in cols[j]]
+                        for i, j in zip(group.hi_part.tolist(), group.lo_part.tolist())
+                    ]
+                for f, z_list in zip(group.flips.tolist(), zs):
+                    pairs = {(f, z) for z in z_list}
+                    assert len(pairs) == len(z_list) and not pairs & formed
+                    formed |= pairs
+            reachable = {
+                (f, z)
+                for f in range(1 << n)
+                for z in range(1 << n)
+                if (f | z).bit_count() <= k_max
+            }
+            assert reachable <= formed
+            flips = {f for f in range(1 << n) if f.bit_count() <= k_max}
+            assert {f for f, _ in formed} == flips
+
+
+def test_flip_groups_at_n12_form_1756_strings_for_weight_2():
+    groups = pauli._flip_groups(12, 2, 1)
+    assert all(group.rows is not None for group in groups)
+    formed = sum(g.rows.shape[1] * g.cols.shape[1] * g.flips.size for g in groups)
+    assert formed == 1756
+
+
+def test_enumeration_matches_moebius_at_n13():
+    # odd n beyond the reference: halves of 7 and 6 bits, every group restricted
+    state = random_state(13, 1313)
+    assert all(group.rows is not None for k in (1, 2, 3) for group in pauli._flip_groups(13, k, 1))
+    moebius = weight_sums(state, 3, "moebius").m
+    for k_max in (1, 2, 3):
+        assert weight_sums(state, k_max, "enumeration").m == pytest.approx(
+            moebius[:k_max], abs=1e-9
+        )
 
 
 def test_hermitian_residue_guard(monkeypatch):
     monkeypatch.setattr(pauli, "IMAG_TOL", -1.0)
-    state = random_state(4, 3)
+    # odd n, k_max < n/2: every flip mask is transformed onto a restricted selection
+    assert all(group.rows is not None for group in pauli._flip_groups(13, 1, 1))
     with pytest.raises(PauliError, match="non-Hermitian"):
-        weight_sums(state, 2, "enumeration")
+        weight_sums(random_state(13, 3), 1, "enumeration")
     with pytest.raises(PauliError, match="non-Hermitian"):
-        expectation(state, PauliString(4, {1: "x", 2: "y"}))
+        expectation(random_state(4, 3), PauliString(4, {1: "x", 2: "y"}))
+
+
+@pytest.mark.parametrize("size", [48, 3, 1])
+def test_moebius_weight_sums_rejects_a_table_not_of_2_to_the_n(size):
+    with pytest.raises(PauliError, match="2\\^n entries"):
+        moebius_weight_sums(np.ones(size), 1)
 
 
 def test_weight_sums_product():

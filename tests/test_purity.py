@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mmeslab import purity
 from mmeslab.purity import (
     average_balanced_purity,
+    balanced_purities,
     reduced_purity,
     subset_purities,
     subset_purity_tables,
@@ -92,6 +93,12 @@ def test_report_lists_subsets_lexicographically():
     report = average_balanced_purity(random_state(4, 3))
     assert report.subsets == tuple(combinations(range(1, 5), 2))
     assert report.mean == pytest.approx(np.mean(report.purities), abs=1e-15)
+
+
+@pytest.mark.parametrize("size", [48, 12])
+def test_balanced_purities_rejects_a_table_not_of_2_to_the_n(size):
+    with pytest.raises(StateError):
+        balanced_purities(np.ones(size))
 
 
 def test_odd_n_accepted_by_oracle():
