@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--restarts", type=int, default=16)
     p_search.add_argument("--max-iters", type=int, default=2000)
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--objective", choices=["oracle", "model"], default="oracle")
 
     sub.add_parser("audit", help="tau requirement of each printed model at K = 0")
     return parser
@@ -191,11 +190,7 @@ def _cmd_fit(args, argv) -> int:
 
 def _cmd_search(args, argv) -> int:
     config = SearchConfig(
-        n=args.n,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        objective=args.objective,
+        n=args.n, restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
     )
     if args.n == 12:
         print("note: n=12 search is slow", file=sys.stderr)
@@ -207,7 +202,6 @@ def _cmd_search(args, argv) -> int:
             "restarts": args.restarts,
             "max_iters": args.max_iters,
             "seed": args.seed,
-            "objective": args.objective,
         },
         results=reports.search_dict(result),
     )

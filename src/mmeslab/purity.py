@@ -5,8 +5,9 @@ reshapes the amplitude vector and works with Gram matrices, never touching
 the Pauli kernel.  ``subset_purities`` computes the purity of every subset
 in one pass; pi_ME and every weight sum M_k are linear in that table.
 Every cut purity, here and in the search objective, comes from one kernel,
-``_gram_blocks``, which gathers cut matrices through per-cut offsets from
-amplitudes with any leading axes.  ``subset_purity_tables`` runs it over a
+``_gram_blocks``, which gathers the matrices of the cuts of ceil(n/2) qubits
+that contain qubit 1 through per-cut offsets from amplitudes with any
+leading axes.  ``subset_purity_tables`` runs it over a
 stack of states at once, so the fit and the verifier share each call's
 fixed cost among a chunk of states; ``subset_purities`` is that generator
 on one state.
@@ -64,15 +65,17 @@ _BLOCK_AMPS = 1 << 12
 
 
 @lru_cache(maxsize=None)
-def _offsets(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column offsets of the Gram kernel's cuts at one size: every
-    subset of ``size`` qubits, lexicographic, but at 2 * size >= n only those
-    that contain qubit 1, since P(A) = P(A^c).  Cut c's 2^size x 2^(n - size)
-    matrix has the flat amplitude indices ``rows[c][:, None] | cols[c]``."""
+def _offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of the Gram kernel's cuts: the subsets of
+    h = ceil(n/2) qubits that contain qubit 1, lexicographic.  Every other
+    subset lies inside one of them or has its complement inside one, and
+    P(A) = P(A^c).  Cut c's 2^h x 2^(n - h) matrix has the flat amplitude
+    indices ``rows[c][:, None] | cols[c]``."""
+    h = (n + 1) // 2
     base = np.arange(1 << n).reshape((2,) * n)
-    cuts = [a for a in combinations(range(n), size) if 2 * size < n or a[0] == 0]
-    rows = np.empty((len(cuts), 1 << size), dtype=np.intp)
-    cols = np.empty((len(cuts), 1 << (n - size)), dtype=np.intp)
+    cuts = [(0, *rest) for rest in combinations(range(1, n), h - 1)]
+    rows = np.empty((len(cuts), 1 << h), dtype=np.intp)
+    cols = np.empty((len(cuts), 1 << (n - h)), dtype=np.intp)
     for axes, row, col in zip(cuts, rows, cols):
         rest = tuple(q for q in range(n) if q not in axes)
         mat = base.transpose(axes + rest).reshape(row.size, col.size)
@@ -82,13 +85,13 @@ def _offsets(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _gram_blocks(amps: np.ndarray, size: int):
+def _gram_blocks(amps: np.ndarray):
     """Per block of the cuts of ``_offsets``: their flat indices ``idx``, the
     matrices ``mats`` gathered from amplitudes of shape (..., 2^n) and the
     Gram matrices ``mats @ mats^H``.  Blocks hold about ``_BLOCK_AMPS``
     gathered amplitudes over all leading axes together."""
     n = amps.shape[-1].bit_length() - 1
-    rows, cols = _offsets(n, size)
+    rows, cols = _offsets(n)
     step = max(1, _BLOCK_AMPS // amps.size)
     for start in range(0, len(rows), step):
         idx = rows[start : start + step, :, None] | cols[start : start + step, None, :]
@@ -108,7 +111,7 @@ def _trace_subscripts(h: int, keep: tuple[int, ...]) -> str:
 class _Plan(NamedTuple):
     """How ``subset_purities`` covers all 2^n subsets at one n."""
 
-    cut_masks: np.ndarray  # per cut of ``_offsets(n, ceil(n/2))``
+    cut_masks: np.ndarray  # per cut of ``_offsets(n)``
     # per cut: (partial-trace subscripts, size) of each smaller marginal it owns
     owned: tuple[tuple[tuple[str, int], ...], ...]
     owned_masks: dict[int, np.ndarray]  # per size: masks of those marginals, in order
@@ -121,7 +124,7 @@ def _plan(n: int) -> _Plan:
     # Every subset of size < h lies in some size-h cut that contains qubit 1,
     # and every larger subset is the complement of one already covered.
     h = (n + 1) // 2
-    rows = _offsets(n, h)[0]
+    rows = _offsets(n)[0]
     # row offset r of a cut is the mask of the cut qubits that r's bits pick
     cut_masks = rows[:, -1]
     subscripts = {}
@@ -198,7 +201,7 @@ def _tables(amps: np.ndarray) -> np.ndarray:
         for size, masks in plan.owned_masks.items()
     }
     start = 0
-    for _, _, grams in _gram_blocks(amps, h):
+    for _, _, grams in _gram_blocks(amps):
         stop = start + grams.shape[1]
         flat = grams.reshape(count, stop - start, -1)
         np.vecdot(flat, flat, out=cut_values[:, start:stop])

@@ -132,7 +132,6 @@ def search_dict(result: SearchResult) -> dict[str, Any]:
     return {
         "n": result.config.n,
         "restarts": result.config.restarts,
-        "objective": result.config.objective,
         "best_pi_me": result.best_value,
         "restart_values": list(result.restart_values),
         "restart_iterations": list(result.restart_iterations),

@@ -249,16 +249,14 @@ def test_search_command(capsys):
     validate(result["best_state"], STATE_SCHEMA)
     assert result["restart_stops"] == ["converged", "converged"]
     assert max(result["restart_grad_norms"]) <= 1e-9
+    assert "objective" not in doc["inputs"] and "objective" not in result
 
 
-def test_search_command_model_objective_n10(capsys):
-    code, doc, _ = run(
-        capsys, "search", "--n", "10", "--objective", "model", "--restarts", "1",
-        "--max-iters", "20",
-    )
-    assert code == 0
-    assert doc["results"]["objective"] == "model"
-    assert doc["inputs"]["objective"] == "model"
+def test_search_has_no_objective_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "2", "--objective", "model"])
+    assert exc.value.code == 2
+    assert "--objective" in capsys.readouterr().err
 
 
 def test_pretty_search_labels_printed_constant(capsys):

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,28 @@ def test_size_weights_of_printed_models():
         Fraction(5, 3),
         Fraction(1),
     )
+
+
+@pytest.mark.parametrize("n", decomposition.SUPPORTED_N)
+def test_size_weights_are_c_plus_k_on_states(n):
+    # C + K = lambda_0 + sum_m lambda_m * mean_{|A|=m} P(A), the size-m means
+    # read off the subset-purity table; n=10 is the one model with weight at
+    # every size
+    model = printed_model(n)
+    const, *weights = (float(w) for w in model.size_weights())
+    sizes = np.bitwise_count(np.arange(1 << n))
+    for seed in (1, 2):
+        state = random_state(n, 300 + 10 * n + seed)
+        table = subset_purities(state)
+        value = const + sum(
+            weight * table[sizes == m].mean() for m, weight in enumerate(weights, start=1)
+        )
+        report = evaluate(model, state)
+        assert value == pytest.approx(report.pi_me_oracle - report.residual, abs=1e-12)
+        if n == 8:
+            # independent Pauli-side value of C + K
+            m = weight_sums(state, n // 2 - 1, "enumeration").m
+            assert value == pytest.approx(model.predict(m, n_tangle(state)), abs=1e-12)
 
 
 def test_printed_model_unsupported():

@@ -132,23 +132,24 @@ def test_subset_purities_sample_at_n12():
         assert table[mask] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(2, 8))
 def test_cut_offsets_give_reshaped_matrices(n):
+    # the cuts of ceil(n/2) qubits that contain qubit 1, at odd and even n
     amps = random_state(n, 60 + n).amplitudes
-    for size in range(1, n):
-        cuts = [a for a in combinations(range(n), size) if 2 * size < n or a[0] == 0]
-        rows, cols = purity._offsets(n, size)
-        assert rows.shape == (len(cuts), 1 << size)
-        assert cols.shape == (len(cuts), 1 << (n - size))
-        for axes, row, col in zip(cuts, rows, cols):
-            rest = [q for q in range(n) if q not in axes]
-            mat = amps.reshape((2,) * n).transpose(list(axes) + rest).reshape(1 << size, -1)
-            np.testing.assert_array_equal(amps[row[:, None] | col[None, :]], mat)
+    size = (n + 1) // 2
+    cuts = [a for a in combinations(range(n), size) if a[0] == 0]
+    rows, cols = purity._offsets(n)
+    assert rows.shape == (len(cuts), 1 << size)
+    assert cols.shape == (len(cuts), 1 << (n - size))
+    for axes, row, col in zip(cuts, rows, cols):
+        rest = [q for q in range(n) if q not in axes]
+        mat = amps.reshape((2,) * n).transpose(list(axes) + rest).reshape(1 << size, -1)
+        np.testing.assert_array_equal(amps[row[:, None] | col[None, :]], mat)
 
 
 def test_cut_offsets_are_small_at_n12():
     # per-cut offsets, not a 462 x 2^12 index table (7.57 MB as int32)
-    rows, cols = purity._offsets(12, 6)
+    rows, cols = purity._offsets(12)
     assert rows.shape == cols.shape == (462, 64)
     assert rows.nbytes + cols.nbytes <= 1 << 20
 
@@ -200,16 +201,15 @@ def test_subset_purity_tables_reject_mixed_qubit_counts(chunked):
 def test_gram_blocks_of_a_stack_equal_per_state_blocks(n):
     states = _haar_states(n, 3, 970 + n)
     stack = np.stack([state.amplitudes for state in states])
-    for size in range(1, n):
-        stacked = list(purity._gram_blocks(stack, size))
-        idx = np.concatenate([block[0] for block in stacked])
-        mats = np.concatenate([block[1] for block in stacked], axis=1)
-        grams = np.concatenate([block[2] for block in stacked], axis=1)
-        for s, state in enumerate(states):
-            single = list(purity._gram_blocks(state.amplitudes, size))
-            np.testing.assert_array_equal(np.concatenate([b[0] for b in single]), idx)
-            np.testing.assert_array_equal(np.concatenate([b[1] for b in single]), mats[s])
-            np.testing.assert_array_equal(np.concatenate([b[2] for b in single]), grams[s])
+    stacked = list(purity._gram_blocks(stack))
+    idx = np.concatenate([block[0] for block in stacked])
+    mats = np.concatenate([block[1] for block in stacked], axis=1)
+    grams = np.concatenate([block[2] for block in stacked], axis=1)
+    for s, state in enumerate(states):
+        single = list(purity._gram_blocks(state.amplitudes))
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in single]), idx)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in single]), mats[s])
+        np.testing.assert_array_equal(np.concatenate([b[2] for b in single]), grams[s])
 
 
 def test_subset_purity_tables_memory_is_bounded_by_a_chunk():
