@@ -20,7 +20,6 @@ from .decomposition import (
 )
 from .pauli import PauliString, WeightSums, expectation, f_invariant, n_tangle, weight_sums
 from .purity import (
-    PurityReport,
     average_balanced_purity,
     reduced_purity,
     subset_purities,

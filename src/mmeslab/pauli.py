@@ -61,14 +61,6 @@ class PauliString:
                 raise PauliError(f"bad Pauli letter {letter!r} at position {pos}")
         object.__setattr__(self, "letters", letters)
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.letters)
-
-    @property
-    def weight(self) -> int:
-        return len(self.letters)
-
     def masks(self) -> tuple[int, int, int]:
         """(flip_mask, phase_mask, number of y letters)."""
         flip = phase = ny = 0

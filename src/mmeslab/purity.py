@@ -4,6 +4,8 @@ This is the ground-truth side of every identity check in the package: it
 reshapes the amplitude vector and works with Gram matrices, never touching
 the Pauli kernel.  ``subset_purities`` computes the purity of every subset
 in one pass; pi_ME and every weight sum M_k are linear in that table.
+``balanced_purities`` reads the balanced subsets off it, and
+``average_balanced_purity`` returns their mean, pi_ME, as a float.
 Every cut purity, here and in the search objective, comes from one kernel,
 ``_gram_blocks``, which gathers the matrices of the cuts of ceil(n/2) qubits
 that contain qubit 1 through per-cut offsets from amplitudes with any
@@ -14,7 +16,6 @@ on one state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple
@@ -260,23 +261,6 @@ def subset_purities(state: QState) -> np.ndarray:
     return next(subset_purity_tables([state]))[1]
 
 
-@dataclass(frozen=True)
-class PurityReport:
-    """All balanced-bipartition purities of one state, plus summary stats."""
-
-    n: int
-    n_a: int
-    subsets: tuple[tuple[int, ...], ...]
-    purities: tuple[float, ...]
-    mean: float
-    min: float
-    max: float
-
-    @property
-    def count(self) -> int:
-        return len(self.subsets)
-
-
 def balanced_purities(purities: np.ndarray) -> np.ndarray:
     """The purities of the C(n, floor(n/2)) balanced subsets, read off a
     ``subset_purities`` table in lexicographic order; pi_ME is their mean.
@@ -292,22 +276,7 @@ def balanced_purities(purities: np.ndarray) -> np.ndarray:
     return purities[_plan(n).balanced]
 
 
-def purity_report(purities: np.ndarray) -> PurityReport:
-    """The balanced-bipartition report read off a ``subset_purities`` table,
-    every subset listed in lexicographic order (``balanced_purities``)."""
-    values = balanced_purities(purities)
-    n = purities.size.bit_length() - 1
-    return PurityReport(
-        n=n,
-        n_a=n // 2,
-        subsets=tuple(combinations(range(1, n + 1), n // 2)),
-        purities=tuple(values.tolist()),
-        mean=float(np.mean(values)),
-        min=float(values.min()),
-        max=float(values.max()),
-    )
-
-
-def average_balanced_purity(state: QState) -> PurityReport:
-    """pi_ME of one state: ``purity_report`` of its subset-purity table."""
-    return purity_report(subset_purities(state))
+def average_balanced_purity(state: QState) -> float:
+    """pi_ME of one state: the mean of ``balanced_purities`` of its
+    subset-purity table."""
+    return float(np.mean(balanced_purities(subset_purities(state))))

@@ -1,13 +1,19 @@
 """mmeslab-report-v1 documents: structured results the CLI prints and tests parse.
 
 Floats pass through ``json`` untouched, so they serialize with Python's
-shortest round-trip repr (up to 17 significant digits).
+shortest round-trip repr (up to 17 significant digits).  The ``invariants``
+purity block is read straight off the state's subset-purity table
+(``purity_dict``); pi_ME elsewhere is the float of
+``average_balanced_purity``.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Sequence
+
+import numpy as np
 
 from .decomposition import (
     AuditRow,
@@ -20,7 +26,7 @@ from .decomposition import (
     printed_model,
 )
 from .pauli import n_tangle, weight_sums
-from .purity import PurityReport, average_balanced_purity, purity_report, subset_purities
+from .purity import average_balanced_purity, balanced_purities, subset_purities
 from .search import SearchResult
 from .states import QState, make_psi_m8, state_document
 
@@ -73,17 +79,22 @@ def k_report_dict(report: KReport) -> dict[str, Any]:
     }
 
 
-def purity_dict(report: PurityReport) -> dict[str, Any]:
+def purity_dict(table: np.ndarray) -> dict[str, Any]:
+    """The balanced-bipartition block of a ``subset_purities`` table: every
+    subset of n // 2 qubits in lexicographic order with its purity, and
+    pi_ME as their mean."""
+    values = balanced_purities(table)
+    n = table.size.bit_length() - 1
     return {
-        "n": report.n,
-        "n_a": report.n_a,
-        "bipartition_count": report.count,
-        "pi_me_mean": report.mean,
-        "pi_a_min": report.min,
-        "pi_a_max": report.max,
+        "n": n,
+        "n_a": n // 2,
+        "bipartition_count": len(values),
+        "pi_me_mean": float(np.mean(values)),
+        "pi_a_min": float(values.min()),
+        "pi_a_max": float(values.max()),
         "bipartitions": [
             {"part_a": list(s), "purity": p}
-            for s, p in zip(report.subsets, report.purities)
+            for s, p in zip(combinations(range(1, n + 1), n // 2), values.tolist())
         ],
     }
 
@@ -162,7 +173,7 @@ def invariants_results(
     # balanced bipartitions need two qubits, as the tangle needs even n
     if with_purity and state.n >= 2:
         purities = subset_purities(state)
-        results["purity"] = purity_dict(purity_report(purities))
+        results["purity"] = purity_dict(purities)
     if with_purity and state.n in SUPPORTED_N:
         report = evaluate(printed_model(state.n), state, label="input", purities=purities)
         results["printed_model"] = k_report_dict(report)
@@ -192,7 +203,6 @@ def psi_m8_audit() -> dict[str, Any]:
     state = make_psi_m8()
     sums = weight_sums(state, 3, strategy="enumeration")
     tau = n_tangle(state)
-    purity = average_balanced_purity(state)
     observed = {"M_1": sums.m[0], "M_2": sums.m[1], "M_3": sums.m[2], "tau_8": tau}
     comparison = {
         key: {
@@ -206,7 +216,7 @@ def psi_m8_audit() -> dict[str, Any]:
         "raw_norm": state.meta["raw_norm"],
         "weight_sums": list(sums.m),
         "n_tangle": tau,
-        "pi_me": purity.mean,
+        "pi_me": average_balanced_purity(state),
         "claim_tol": PSI_M8_CLAIM_TOL,
         "claims": comparison,
         "all_claims_hold": all(c["holds"] for c in comparison.values()),

@@ -56,12 +56,19 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One search: n, restarts and max_iters are plain Python ints (a bool or
+    numpy integer is refused)."""
+
     n: int
     restarts: int = 16
     max_iters: int = 2000
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "restarts", "max_iters"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise SearchError(f"{name} must be an int, got {value!r}")
         if self.n % 2 or self.n < 2:
             raise SearchError(f"search needs even n >= 2, got {self.n}")
         if self.n > 12:
@@ -106,18 +113,6 @@ def _mean_purity_and_grad(
     if with_grad:
         grad *= 4.0 / count
     return value / count, grad
-
-
-def objective_value(amps: np.ndarray, n: int) -> float:
-    """Raw objective on an arbitrary (not necessarily unit) vector of even
-    n: the mean balanced-cut purity, which is pi_ME on unit vectors."""
-    if n % 2 or n < 2:
-        raise SearchError(f"the search objective needs even n >= 2, got {n}")
-    amps = np.asarray(amps, dtype=np.complex128)
-    if amps.shape != (1 << n,):
-        raise SearchError(f"expected {1 << n} amplitudes for n={n}, got {amps.shape}")
-    value, _ = _mean_purity_and_grad(amps, with_grad=False)
-    return value
 
 
 def gradient_check(n: int, seed: int) -> float:
@@ -217,8 +212,8 @@ def _run_restart(x: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, i
 
 def minimize_average_purity(config: SearchConfig) -> SearchResult:
     """Multi-restart L-BFGS; deterministic for a fixed config.  The returned
-    best value is the best state's pi_ME, re-scored by the subset-purity
-    table."""
+    best value is the best state's pi_ME, re-scored by
+    ``average_balanced_purity`` off its subset-purity table."""
     n = config.n
     t0 = time.perf_counter()
     values, iterations, stops, grad_norms = [], [], [], []
@@ -233,7 +228,7 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
         if f < best_f:
             best_x, best_f = x, f
     best_state = _normalized(n, best_x)
-    best_value = average_balanced_purity(best_state).mean
+    best_value = average_balanced_purity(best_state)
     floor = 2.0 ** -(n // 2)
     if best_value < floor - 1e-9:
         raise SearchError(f"best value {best_value!r} below hard floor {floor}")

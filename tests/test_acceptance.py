@@ -51,7 +51,7 @@ def test_criterion_1_canonical_constants():
         tol = 1e-10
         bell = make_ghz(2)
         assert n_tangle(bell) == pytest.approx(1.0, abs=tol)
-        assert average_balanced_purity(bell).mean == pytest.approx(0.5, abs=tol)
+        assert average_balanced_purity(bell) == pytest.approx(0.5, abs=tol)
         expected = {
             4: (Fraction(1, 3), Fraction(2, 3), Fraction(1, 6)),
             6: (Fraction(1, 8), Fraction(7, 8), Fraction(3, 8)),
@@ -66,8 +66,8 @@ def test_criterion_1_canonical_constants():
             assert rep.k_model == pytest.approx(float(k_ghz), abs=tol)
         # n=10: oracle-side K values, independent of the printed coefficients
         c10 = float(Fraction(13, 336))
-        k_ghz10 = average_balanced_purity(make_ghz(10)).mean - c10
-        k_prod10 = average_balanced_purity(make_basis_state(10, 0)).mean - c10
+        k_ghz10 = average_balanced_purity(make_ghz(10)) - c10
+        k_prod10 = average_balanced_purity(make_basis_state(10, 0)) - c10
         assert k_ghz10 == pytest.approx(float(Fraction(155, 336)), abs=tol)
         assert k_prod10 == pytest.approx(float(Fraction(323, 336)), abs=tol)
 
@@ -169,20 +169,20 @@ def test_criterion_9_invariance_suite():
             base = random_state(n, 9000 + n)
             m_base = weight_sums(base, n).m
             tau_base = n_tangle(base)
-            pi_base = average_balanced_purity(base).mean
+            pi_base = average_balanced_purity(base)
             for _ in range(10):
                 rotated = apply_local_unitaries(
                     base, [_haar_unitary(rng) for _ in range(n)]
                 )
                 assert weight_sums(rotated, n).m == pytest.approx(m_base, abs=1e-9)
                 assert n_tangle(rotated) == pytest.approx(tau_base, abs=1e-9)
-                assert average_balanced_purity(rotated).mean == pytest.approx(
+                assert average_balanced_purity(rotated) == pytest.approx(
                     pi_base, abs=1e-9
                 )
                 shuffled = permute_qubits(base, list(rng.permutation(n) + 1))
                 assert weight_sums(shuffled, n).m == pytest.approx(m_base, abs=1e-9)
                 assert n_tangle(shuffled) == pytest.approx(tau_base, abs=1e-9)
-                assert average_balanced_purity(shuffled).mean == pytest.approx(
+                assert average_balanced_purity(shuffled) == pytest.approx(
                     pi_base, abs=1e-9
                 )
 

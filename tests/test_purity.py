@@ -15,6 +15,7 @@ from mmeslab.purity import (
     subset_purities,
     subset_purity_tables,
 )
+from mmeslab.reports import purity_dict
 from mmeslab.states import (
     QState,
     StateError,
@@ -73,26 +74,32 @@ def test_complement_duality_and_bounds(seed, n):
 
 
 def test_average_balanced_purity_ghz():
-    for n in (2, 4, 6, 8, 10, 12):
-        report = average_balanced_purity(make_ghz(n))
-        assert report.mean == pytest.approx(0.5, abs=1e-10)
-        assert report.count == comb(n, n // 2)
+    for n in range(2, 13):
+        state = make_ghz(n)
+        block = purity_dict(subset_purities(state))
+        assert block["pi_me_mean"] == pytest.approx(0.5, abs=1e-10)
+        assert block["bipartition_count"] == comb(n, n // 2)
+        assert len(block["bipartitions"]) == comb(n, n // 2)
+        assert average_balanced_purity(state) == block["pi_me_mean"]
 
 
 def test_average_balanced_purity_product_and_w():
-    assert average_balanced_purity(make_basis_state(6, 0)).mean == pytest.approx(
-        1.0, abs=1e-12
-    )
-    report = average_balanced_purity(make_w(4))
-    assert report.mean == pytest.approx(0.5, abs=1e-12)
-    assert report.min == pytest.approx(0.5, abs=1e-12)
-    assert report.max == pytest.approx(0.5, abs=1e-12)
+    product = average_balanced_purity(make_basis_state(6, 0))
+    assert type(product) is float
+    assert product == pytest.approx(1.0, abs=1e-12)
+    block = purity_dict(subset_purities(make_w(4)))
+    assert block["pi_me_mean"] == pytest.approx(0.5, abs=1e-12)
+    assert block["pi_a_min"] == pytest.approx(0.5, abs=1e-12)
+    assert block["pi_a_max"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_report_lists_subsets_lexicographically():
-    report = average_balanced_purity(random_state(4, 3))
-    assert report.subsets == tuple(combinations(range(1, 5), 2))
-    assert report.mean == pytest.approx(np.mean(report.purities), abs=1e-15)
+    block = purity_dict(subset_purities(random_state(4, 3)))
+    listed = block["bipartitions"]
+    assert [b["part_a"] for b in listed] == [list(s) for s in combinations(range(1, 5), 2)]
+    purities = [b["purity"] for b in listed]
+    assert block["pi_me_mean"] == pytest.approx(np.mean(purities), abs=1e-15)
+    assert block["pi_a_min"] == min(purities) and block["pi_a_max"] == max(purities)
 
 
 @pytest.mark.parametrize("size", [48, 12])
@@ -102,9 +109,10 @@ def test_balanced_purities_rejects_a_table_not_of_2_to_the_n(size):
 
 
 def test_odd_n_accepted_by_oracle():
-    report = average_balanced_purity(make_ghz(5))
-    assert report.n_a == 2
-    assert report.count == comb(5, 2)
+    block = purity_dict(subset_purities(make_ghz(5)))
+    assert block["n"] == 5
+    assert block["n_a"] == 2
+    assert block["bipartition_count"] == comb(5, 2)
 
 
 def _positions(n, mask):

@@ -15,7 +15,6 @@ from mmeslab.search import (
     _mean_purity_and_grad,
     gradient_check,
     minimize_average_purity,
-    objective_value,
 )
 from mmeslab.states import make_ghz, random_state
 
@@ -31,20 +30,25 @@ def test_config_validation():
     for seed in (-1, 2**64, True, 1.5):
         with pytest.raises(SearchError, match="seed"):
             SearchConfig(n=4, seed=seed)
+    # a float cap is never reached and a bool restart count is not a count
+    for field, value in [
+        ("n", 6.0),
+        ("n", True),
+        ("restarts", True),
+        ("restarts", 1.5),
+        ("max_iters", 3.5),
+        ("max_iters", np.int64(3)),
+    ]:
+        with pytest.raises(SearchError, match=f"{field} must be an int"):
+            SearchConfig(**{"n": 6, field: value})
 
 
 def test_objective_matches_oracle_on_unit_states():
     # n = 10 and 12 run the kernel over several blocks of cuts
     for n, seed in [(2, 1), (4, 2), (6, 3), (8, 4), (10, 5), (12, 6)]:
         state = random_state(n, seed)
-        assert objective_value(state.amplitudes, n) == pytest.approx(
-            average_balanced_purity(state).mean, abs=1e-12
-        )
-
-
-def test_objective_needs_even_n():
-    with pytest.raises(SearchError, match="even n"):
-        objective_value(random_state(5, 1).amplitudes, 5)
+        value, _ = _mean_purity_and_grad(state.amplitudes, with_grad=False)
+        assert value == pytest.approx(average_balanced_purity(state), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
