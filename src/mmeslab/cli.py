@@ -206,7 +206,10 @@ def _cmd_search(args, argv) -> int:
         results=reports.search_dict(result),
     )
     constant = float(printed_model(args.n).constant)
-    lines = [f"best pi_ME = {result.best_value}  (printed constant C = {constant})"]
+    gap = result.best_value - constant
+    lines = [
+        f"best pi_ME = {result.best_value}  (printed constant C = {constant}, gap to C = {gap})"
+    ]
     _emit(doc, lines, args.pretty)
     return EXIT_OK
 

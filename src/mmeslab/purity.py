@@ -86,16 +86,41 @@ def _offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def _single_block(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of every cut of ``_offsets(n)`` at once, for cut sets
+    that ``_gram_blocks`` gathers as one block, and their inverse: with the
+    cut stack flattened, ``stack.take(inverse, axis=-1)[..., c, :]`` puts cut
+    c's entries back in amplitude order."""
+    rows, cols = _offsets(n)
+    idx = rows[:, :, None] | cols[:, None, :]
+    flat = idx.reshape(len(rows), -1)
+    cuts = np.arange(len(rows))[:, None]
+    # an assignment, not an argsort: the first sort in a process costs ~1 MB
+    inverse = np.empty_like(flat)
+    inverse[cuts, flat] = cuts * flat.shape[1] + np.arange(flat.shape[1])
+    for part in (idx, inverse):
+        part.setflags(write=False)
+    return idx, inverse
+
+
 def _gram_blocks(amps: np.ndarray):
     """Per block of the cuts of ``_offsets``: their flat indices ``idx``, the
     matrices ``mats`` gathered from amplitudes of shape (..., 2^n) and the
     Gram matrices ``mats @ mats^H``.  Blocks hold about ``_BLOCK_AMPS``
-    gathered amplitudes over all leading axes together."""
+    gathered amplitudes over all leading axes together; a cut set that fits
+    one block takes its index from ``_single_block``."""
     n = amps.shape[-1].bit_length() - 1
     rows, cols = _offsets(n)
     step = max(1, _BLOCK_AMPS // amps.size)
-    for start in range(0, len(rows), step):
-        idx = rows[start : start + step, :, None] | cols[start : start + step, None, :]
+    if step >= len(rows):
+        blocks = [_single_block(n)[0]]
+    else:
+        blocks = (
+            rows[start : start + step, :, None] | cols[start : start + step, None, :]
+            for start in range(0, len(rows), step)
+        )
+    for idx in blocks:
         mats = amps.take(idx, axis=-1)
         yield idx, mats, mats @ mats.conj().swapaxes(-1, -2)
 

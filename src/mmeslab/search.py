@@ -7,8 +7,9 @@ amplitudes: per cut with reshaped amplitude matrix M the derivative with
 respect to conj(M) is 2 M M^H M, so the Euclidean gradient over the
 (re, im) parameter pairs is 4 M M^H M scattered back into flat index order.
 Its cut matrices and Gram matrices come from ``purity._gram_blocks``, as for
-the subset-purity table, and the gradient is scattered back through the same
-flat indices.
+the subset-purity table, and the gradient goes back to flat index order
+through the same indices: by a gather through their cached inverse when all
+cuts fit one block (n <= 6), by a scatter otherwise.
 
 Each restart runs a two-loop L-BFGS (Nocedal & Wright, Numerical
 Optimization, Alg. 7.4) on the real view of z with the scale-invariant
@@ -17,16 +18,25 @@ Steps come from a backtracking sufficient-decrease search that starts at
 t = 1.  A restart stops when the tangent gradient at z/|z| is within
 ``GRAD_TOL`` ("converged"), at ``max_iters`` steps ("iteration cap"), or
 when no trial step decreases F ("line search exhausted").
+
+Restarts run in groups of consecutive restarts, as many as gather their cut
+matrices in one kernel block: max(1, ``_BLOCK_AMPS`` // (cuts * 2^n)), i.e.
+1024 at n = 2, 85 at n = 4, 6 at n = 6 and one from n = 8 up.  A group
+descends as one (R, 2^(n+1)) real array, so every numpy call serves all its
+restarts.  Each row keeps its own correction pairs, step length and stop,
+and leaves the stack when it stops, so a restart ends bit for bit as it
+would alone.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .purity import _gram_blocks, average_balanced_purity
+from .purity import _BLOCK_AMPS, _gram_blocks, _offsets, _single_block, average_balanced_purity
 from .states import QState, StateError, _normalized, check_seed, random_state
 
 _MEMORY = 8  # L-BFGS correction pairs kept
@@ -93,26 +103,30 @@ class SearchResult:
     wall_time: float
 
 
-def _mean_purity_and_grad(
-    amps: np.ndarray, with_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
-    """Mean Gram-norm purity over the balanced cuts, for the raw
-    (unnormalized) vector of even n, plus its Euclidean real-parameter
-    gradient in complex form (real part = d/d re, imag part = d/d im)."""
-    count = 0
-    value = 0.0
-    grad = np.zeros_like(amps) if with_grad else None
+def _mean_purity_and_grad(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean Gram-norm purity over the balanced cuts, for raw (unnormalized)
+    vectors of even n with any leading axes, plus the Euclidean
+    real-parameter gradient in complex form (real part = d/d re, imag part =
+    d/d im); one value and one gradient per vector.
+
+    The gradient sums G M over the cuts, for G = M M^H.  The value is read
+    off that sum, since <M, G M> = tr(G M M^H) = ||G||_F^2 for each cut.
+    """
+    lead = amps.shape[:-1]
+    n = amps.shape[-1].bit_length() - 1
+    count = len(_offsets(n)[0])
+    grad = np.zeros_like(amps)
     for idx, mats, grams in _gram_blocks(amps):
-        count += len(idx)
-        value += float(np.vdot(grams, grams).real)
-        if with_grad:
-            idx = idx.reshape(len(idx), -1)
-            scattered = np.empty(idx.shape, dtype=amps.dtype)
-            np.put_along_axis(scattered, idx, (grams @ mats).reshape(idx.shape), axis=1)
-            grad += scattered.sum(axis=0)
-    if with_grad:
-        grad *= 4.0 / count
-    return value / count, grad
+        prod = (grams @ mats).reshape(*lead, -1)  # G M of each cut, cuts flattened
+        if len(idx) == count:  # one block: a gather through the cached inverse
+            grad += prod.take(_single_block(n)[1], axis=-1).sum(axis=-2)
+        else:  # cut c scattered into row c of its own 2^n amplitudes
+            scattered = np.empty_like(prod)
+            scattered[..., (idx + (np.arange(len(idx)) << n)[:, None, None]).ravel()] = prod
+            grad += scattered.reshape(*lead, len(idx), -1).sum(axis=-2)
+    value = np.vecdot(amps, grad).real / count
+    grad *= 4.0 / count
+    return value, grad
 
 
 def gradient_check(n: int, seed: int) -> float:
@@ -129,104 +143,216 @@ def gradient_check(n: int, seed: int) -> float:
         delta = np.zeros(analytic.size)
         delta[j] = GRADIENT_CHECK_STEP
         delta = delta.view(np.complex128)
-        f_plus, _ = _mean_purity_and_grad(amps + delta, with_grad=False)
-        f_minus, _ = _mean_purity_and_grad(amps - delta, with_grad=False)
+        f_plus, _ = _mean_purity_and_grad(amps + delta)
+        f_minus, _ = _mean_purity_and_grad(amps - delta)
         worst = max(worst, abs((f_plus - f_minus) / (2 * GRADIENT_CHECK_STEP) - analytic[j]))
     return worst
 
 
-def _scale_free(x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """F(x) = f(x/|x|) over the real parameters x for the objective f of
-    ``_mean_purity_and_grad``, its gradient, and the norm of f's tangent
-    gradient at the unit vector u = x/|x|.
+def _scale_free(x: np.ndarray) -> tuple[list[float], np.ndarray, list[float]]:
+    """F(x) = f(x/|x|) for each row x of real parameters, for the objective f
+    of ``_mean_purity_and_grad``, its gradient, and the norm of f's tangent
+    gradient at the unit vector u = x/|x|; values and norms as lists.
 
     dF/dx = (I - u u^T) grad f(u) / |x|, which is orthogonal to x.
     """
-    r = float(np.linalg.norm(x))
+    r = np.sqrt(np.vecdot(x, x, keepdims=True))
     u = x / r
     f, g = _mean_purity_and_grad(u.view(np.complex128))
     g = g.view(np.float64)
-    g = g - float(np.dot(u, g)) * u
-    g_norm = float(np.linalg.norm(g))
-    return f, g / r, g_norm
+    g = g - np.vecdot(u, g, keepdims=True) * u
+    return f.tolist(), g / r, [math.sqrt(v) for v in np.vecdot(g, g).tolist()]
 
 
-def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
-    """H g for the L-BFGS inverse-Hessian estimate H of the stored (s, y)
-    pairs, with the initial scaling s.y / y.y of the newest pair."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * (s @ q)
-        q -= alpha * y
-        alphas.append(alpha)
-    if pairs:
-        _, y, rho = pairs[-1]
-        q /= rho * (y @ y)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
-    return q
+@dataclass(slots=True)
+class _Slot:
+    """One correction pair (s, y) per row of a stack of restarts, with rho s
+    and rho y, rho = 1 / s.y; both products are 0 in rows without a pair."""
+
+    s: np.ndarray
+    y: np.ndarray
+    rho_s: np.ndarray
+    rho_y: np.ndarray
+    holds: list[bool]  # the rows that hold a pair in this slot
 
 
-def _run_restart(x: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, int, str, float]:
-    """L-BFGS from the unit vector x (complex amplitudes).  Returns the
-    final unit vector, its objective value, the steps taken, the stop
-    reason and the final tangent-gradient norm."""
-    x = x.view(np.float64).copy()
+class _Pairs:
+    """The L-BFGS memory of a stack of restarts, as slots oldest first.
+
+    The two-loop passes unchanged over a row with rho s = rho y = 0, so
+    each row is updated by exactly its own newest ``_MEMORY`` pairs.
+    """
+
+    def __init__(self, rows: int):
+        self.slots: deque[_Slot] = deque()
+        self.held = [0] * rows  # pairs each row holds
+        # rho y.y of each row's newest pair, the two-loop's initial scaling
+        self.scale = np.ones((rows, 1))
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g, row by row, for the inverse-Hessian estimate H of each row's
+        pairs: the two-loop recursion (Nocedal & Wright, Alg. 7.4) on -g."""
+        q = -g
+        alphas = []
+        for slot in reversed(self.slots):
+            alpha = np.vecdot(slot.rho_s, q, keepdims=True)
+            q -= alpha * slot.y
+            alphas.append(alpha)
+        q /= self.scale
+        for slot, alpha in zip(self.slots, reversed(alphas)):
+            q += (alpha - np.vecdot(slot.rho_y, q, keepdims=True)) * slot.s
+        return q
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Store each row's step s and gradient change y if s.y is positive
+        beyond roundoff; a row at ``_MEMORY`` pairs drops its oldest."""
+        sy, ss, yy = np.vecdot(s, y).tolist(), np.vecdot(s, s).tolist(), np.vecdot(y, y).tolist()
+        eps = np.finfo(np.float64).eps
+        rho = [
+            1.0 / v if v > eps * (math.sqrt(a) * math.sqrt(b)) else 0.0
+            for v, a, b in zip(sy, ss, yy)
+        ]
+        holds = [r != 0.0 for r in rho]
+        if not any(holds):
+            return
+        column = np.array(rho)[:, None]
+        self.slots.append(_Slot(s, y, column * s, column * y, holds))
+        for i, r in enumerate(rho):
+            if not r:
+                continue
+            self.scale[i, 0] = r * yy[i]
+            if self.held[i] < _MEMORY:
+                self.held[i] += 1
+            else:  # the row's oldest pair goes
+                self._forget(next(slot for slot in self.slots if slot.holds[i]), i)
+        while not any(self.slots[0].holds):
+            self.slots.popleft()
+
+    def clear(self, rows: list[int]) -> None:
+        """Empty the memory of the given rows."""
+        for i in rows:
+            for slot in self.slots:
+                if slot.holds[i]:
+                    self._forget(slot, i)
+            self.held[i] = 0
+        self.scale[rows] = 1.0
+        self._drop_empty()
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the given rows of the stack, in that order."""
+        for slot in self.slots:
+            slot.s, slot.y = slot.s[rows], slot.y[rows]
+            slot.rho_s, slot.rho_y = slot.rho_s[rows], slot.rho_y[rows]
+            slot.holds = [slot.holds[i] for i in rows]
+        self.held = [self.held[i] for i in rows]
+        self.scale = self.scale[rows]
+        self._drop_empty()
+
+    def _drop_empty(self) -> None:
+        self.slots = deque(slot for slot in self.slots if any(slot.holds))
+
+    @staticmethod
+    def _forget(slot: _Slot, i: int) -> None:
+        slot.rho_s[i] = slot.rho_y[i] = 0.0
+        slot.holds[i] = False
+
+
+def _run_restarts(starts: np.ndarray, max_iters: int) -> list[tuple]:
+    """L-BFGS from each row of ``starts`` (unit vectors of complex
+    amplitudes), all rows descending as one stack.  Each row has its own
+    memory, step length and stop, and leaves the stack when it stops.
+    Returns, per row, the final unit vector, its objective value, the steps
+    taken, the stop reason and the final tangent-gradient norm."""
+    x = starts.view(np.float64).copy()
     f, g, g_norm = _scale_free(x)
-    pairs: deque = deque(maxlen=_MEMORY)
+    live = list(range(len(x)))  # the row of ``starts`` of each stack row
+    pairs = _Pairs(len(x))
+    results: list = [None] * len(x)
     iters = 0
-    while True:
-        if g_norm <= GRAD_TOL:
-            stop = STOP_CONVERGED
-            break
-        if iters == cfg.max_iters:
-            stop = STOP_ITERATION_CAP
-            break
-        d = -_two_loop(g, pairs)
-        slope = float(np.dot(g, d))
-        if not slope < 0:  # not a descent direction: restart the memory
-            pairs.clear()
-            d = -g
-            slope = -float(np.dot(g, g))
-        bound = f + _ROUNDOFF * abs(f)
+
+    def retire(stops, *parts):
+        """Record the rows that stop and return ``parts`` without them."""
+        for i, stop in enumerate(stops):
+            if stop is not None:
+                u = x[i] / np.linalg.norm(x[i])
+                results[live[i]] = (u.view(np.complex128), f[i], iters, stop, g_norm[i])
+        keep = [i for i, stop in enumerate(stops) if stop is None]
+        pairs.keep(keep)
+        return [p[keep] if isinstance(p, np.ndarray) else [p[i] for i in keep] for p in parts]
+
+    while live:
+        capped = STOP_ITERATION_CAP if iters == max_iters else None
+        stops = [STOP_CONVERGED if gn <= GRAD_TOL else capped for gn in g_norm]
+        if any(stops):
+            x, g, f, g_norm, live = retire(stops, x, g, f, g_norm, live)
+            if not live:
+                break
+        d = pairs.direction(g)
+        slope = np.vecdot(g, d).tolist()
+        fresh = [i for i, v in enumerate(slope) if not v < 0]
+        if fresh:  # not a descent direction: restart the memory
+            pairs.clear(fresh)
+            d[fresh] = -g[fresh]
+            for i, v in zip(fresh, np.vecdot(g[fresh], g[fresh]).tolist()):
+                slope[i] = -v
+        bound = [v + _ROUNDOFF * abs(v) for v in f]
+        # backtracking from t = 1; every row still searching has the same t
         t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            x_new = x + t * d
-            f_new, g_new, g_norm_new = _scale_free(x_new)
-            if f_new <= bound + _DECREASE_C * t * slope:
+        x_new = x + d
+        f_new, g_new, g_norm_new = _scale_free(x_new)
+        pending = [
+            i for i, v in enumerate(f_new) if not v <= bound[i] + _DECREASE_C * t * slope[i]
+        ]
+        for _ in range(_MAX_BACKTRACKS - 1):
+            if not pending:
                 break
             t *= 0.5
-        else:
-            stop = STOP_LINE_SEARCH
-            break
-        s, y = x_new - x, g_new - g
-        sy = float(np.dot(s, y))
-        if sy > np.finfo(np.float64).eps * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
+            trial = x[pending] + t * d[pending]
+            f_t, g_t, g_norm_t = _scale_free(trial)
+            ok = [v <= bound[i] + _DECREASE_C * t * slope[i] for i, v in zip(pending, f_t)]
+            hit = [j for j, accepted in enumerate(ok) if accepted]
+            rows = [pending[j] for j in hit]
+            x_new[rows], g_new[rows] = trial[hit], g_t[hit]
+            for i, j in zip(rows, hit):
+                f_new[i], g_norm_new[i] = f_t[j], g_norm_t[j]
+            pending = [i for i, accepted in zip(pending, ok) if not accepted]
+        if pending:  # no trial step decreases F
+            exhausted = set(pending)
+            stops = [STOP_LINE_SEARCH if i in exhausted else None for i in range(len(live))]
+            x, g, x_new, g_new, f_new, g_norm_new, live = retire(
+                stops, x, g, x_new, g_new, f_new, g_norm_new, live
+            )
+            if not live:
+                break
+        pairs.push(x_new - x, g_new - g)
         x, f, g, g_norm = x_new, f_new, g_new, g_norm_new
         iters += 1
-    x /= np.linalg.norm(x)
-    return x.view(np.complex128), f, iters, stop, g_norm
+    return results
 
 
 def minimize_average_purity(config: SearchConfig) -> SearchResult:
-    """Multi-restart L-BFGS; deterministic for a fixed config.  The returned
-    best value is the best state's pi_ME, re-scored by
-    ``average_balanced_purity`` off its subset-purity table."""
+    """Multi-restart L-BFGS; deterministic for a fixed config.  The restarts
+    run in groups of consecutive restarts, as many as gather their cut
+    matrices in one kernel block.  The returned best value is the best
+    state's pi_ME, re-scored by ``average_balanced_purity`` off its
+    subset-purity table."""
     n = config.n
     t0 = time.perf_counter()
+    group = max(1, _BLOCK_AMPS // (len(_offsets(n)[0]) << n))
     values, iterations, stops, grad_norms = [], [], [], []
     best_x, best_f = None, np.inf
-    for r in range(config.restarts):
-        start = random_state(n, config.seed, _RESTART_STREAM + r).amplitudes
-        x, f, iters, stop, g_norm = _run_restart(start, config)
-        values.append(f)
-        iterations.append(iters)
-        stops.append(stop)
-        grad_norms.append(g_norm)
-        if f < best_f:
-            best_x, best_f = x, f
+    for first in range(0, config.restarts, group):
+        starts = np.stack([
+            random_state(n, config.seed, _RESTART_STREAM + r).amplitudes
+            for r in range(first, min(first + group, config.restarts))
+        ])
+        for x, f, iters, stop, g_norm in _run_restarts(starts, config.max_iters):
+            values.append(f)
+            iterations.append(iters)
+            stops.append(stop)
+            grad_norms.append(g_norm)
+            if f < best_f:
+                best_x, best_f = x, f
     best_state = _normalized(n, best_x)
     best_value = average_balanced_purity(best_state)
     floor = 2.0 ** -(n // 2)

@@ -264,7 +264,10 @@ def test_pretty_search_labels_printed_constant(capsys):
         capsys, "--pretty", "search", "--n", "6", "--restarts", "1", "--max-iters", "5"
     )
     assert code == 0
-    assert "printed constant C = 0.125" in err
+    match = re.search(r"best pi_ME = (\S+)  \(printed constant C = 0\.125, gap to C = (\S+)\)", err)
+    assert match, err
+    best, gap = map(float, match.groups())
+    assert gap == best - 0.125 and gap > 0  # five steps do not reach C
     assert "floor" not in err
 
 

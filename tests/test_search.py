@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import fields
 
 import numpy as np
@@ -7,12 +8,16 @@ from mmeslab.pauli import n_tangle
 from mmeslab import purity
 from mmeslab.purity import average_balanced_purity, subset_purities, subset_purity_tables
 from mmeslab.search import (
+    _MEMORY,
+    _RESTART_STREAM,
     GRAD_TOL,
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
     SearchConfig,
     SearchError,
     _mean_purity_and_grad,
+    _Pairs,
+    _run_restarts,
     gradient_check,
     minimize_average_purity,
 )
@@ -47,8 +52,28 @@ def test_objective_matches_oracle_on_unit_states():
     # n = 10 and 12 run the kernel over several blocks of cuts
     for n, seed in [(2, 1), (4, 2), (6, 3), (8, 4), (10, 5), (12, 6)]:
         state = random_state(n, seed)
-        value, _ = _mean_purity_and_grad(state.amplitudes, with_grad=False)
+        value, _ = _mean_purity_and_grad(state.amplitudes)
         assert value == pytest.approx(average_balanced_purity(state), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, rows, one_block",
+    [(2, 5, True), (4, 3, True), (6, 6, True), (6, 16, False), (8, 2, False)],
+)
+def test_objective_rows_match_single_vectors(n, rows, one_block):
+    # a stack of 16 at n = 6 and every stack at n = 8 splits the cuts into
+    # several blocks, which sum in another order than one vector's single block
+    amps = np.stack([random_state(n, 90 + i).amplitudes for i in range(rows)])
+    values, grads = _mean_purity_and_grad(amps)
+    assert values.shape == (rows,) and grads.shape == amps.shape
+    for row, value, grad in zip(amps, values, grads):
+        want_value, want_grad = _mean_purity_and_grad(row)
+        if one_block:
+            assert value == want_value
+            np.testing.assert_array_equal(grad, want_grad)
+        else:
+            assert value == pytest.approx(want_value, rel=1e-14)
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -58,8 +83,8 @@ def test_gradient_directional_derivative(n):
     direction = random_state(n, 40 + n).amplitudes
     _, grad = _mean_purity_and_grad(amps)
     h = 1e-5
-    f_plus, _ = _mean_purity_and_grad(amps + h * direction, with_grad=False)
-    f_minus, _ = _mean_purity_and_grad(amps - h * direction, with_grad=False)
+    f_plus, _ = _mean_purity_and_grad(amps + h * direction)
+    f_minus, _ = _mean_purity_and_grad(amps - h * direction)
     analytic = np.real(np.vdot(grad, direction))
     assert (f_plus - f_minus) / (2 * h) == pytest.approx(analytic, abs=1e-8)
 
@@ -137,3 +162,106 @@ def test_monotone_within_restart():
         cfg = SearchConfig(n=4, restarts=1, max_iters=iters, seed=8)
         values.append(minimize_average_purity(cfg).best_value)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "config, iterations, best, last_stop",
+    [
+        (dict(n=2, restarts=4, seed=5), (6, 4, 6, 5), 0.5000000000000001, STOP_CONVERGED),
+        (
+            dict(n=4, restarts=8, max_iters=300, seed=5),
+            (25, 27, 26, 25, 26, 27, 27, 32),
+            0.3333333333333335,
+            STOP_CONVERGED,
+        ),
+        (
+            dict(n=6, restarts=4, max_iters=50, seed=5),
+            (24, 26, 28, 24),
+            0.12500000000000006,
+            STOP_CONVERGED,
+        ),
+        (
+            dict(n=6, restarts=16, seed=0),
+            (22, 25, 25, 25, 25, 24, 24, 25, 25, 25, 26, 28, 25, 24, 24, 26),
+            0.125,
+            STOP_CONVERGED,
+        ),
+        (
+            dict(n=8, restarts=4, max_iters=300, seed=5),
+            (184, 139, 135, 300),
+            0.0857142857142858,
+            STOP_ITERATION_CAP,
+        ),
+    ],
+    ids=["n2", "n4", "n6-cap50", "n6-16", "n8-cap300"],
+)
+def test_pinned_trajectories(config, iterations, best, last_stop):
+    result = minimize_average_purity(SearchConfig(**config))
+    assert result.restart_iterations == iterations
+    assert result.restart_stops == (STOP_CONVERGED,) * (len(iterations) - 1) + (last_stop,)
+    assert result.best_value == pytest.approx(best, abs=1e-12)
+
+
+def test_restart_groups_do_not_change_restarts():
+    # n = 6 groups 6 restarts: 16 restarts run as groups of 6, 6 and 4
+    parts = ("restart_values", "restart_iterations", "restart_stops", "restart_grad_norms")
+    runs = {k: minimize_average_purity(SearchConfig(n=6, restarts=k, seed=0)) for k in (1, 6, 16)}
+    for k in (1, 6):
+        for part in parts:
+            assert getattr(runs[16], part)[:k] == getattr(runs[k], part)
+    # and every restart of the 16, run alone, ends bit for bit the same
+    for r, want in enumerate(zip(*(getattr(runs[16], part) for part in parts))):
+        start = random_state(6, 0, _RESTART_STREAM + r).amplitudes
+        ((_, *alone),) = _run_restarts(start[None], 2000)
+        assert tuple(alone) == want
+
+
+def _serial_two_loop(g, pairs):
+    """The two-loop of one restart with its own deque of (s, y, rho) pairs."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
+def test_stacked_memory_matches_serial_two_loop():
+    # rows refuse some pairs (s.y < 0), clear their memory and leave the stack
+    # at different steps; each row must see exactly its own newest pairs
+    rng = np.random.default_rng(3)
+    dim = 12
+    memory = _Pairs(5)
+    serial = {row: deque(maxlen=_MEMORY) for row in range(5)}
+    live = list(range(5))
+    for step in range(30):
+        s = rng.standard_normal((len(live), dim))
+        y = s * rng.uniform(0.5, 2.0, (len(live), 1)) + 0.3 * rng.standard_normal(s.shape)
+        y[rng.random(len(live)) < 0.25] *= -1
+        memory.push(s, y)
+        for j, row in enumerate(live):
+            sy = float(s[j] @ y[j])
+            if sy > np.finfo(np.float64).eps * float(np.linalg.norm(s[j]) * np.linalg.norm(y[j])):
+                serial[row].append((s[j], y[j], 1.0 / sy))
+        if step % 6 == 4:
+            cleared = [j for j in range(len(live)) if rng.random() < 0.4]
+            memory.clear(cleared)
+            for j in cleared:
+                serial[live[j]].clear()
+        if step in (12, 20):
+            keep = [j for j in range(len(live)) if j != step % len(live)]
+            memory.keep(keep)
+            live = [live[j] for j in keep]
+        g = rng.standard_normal((len(live), dim))
+        got = -memory.direction(g)
+        for j, row in enumerate(live):
+            want = _serial_two_loop(g[j], serial[row])
+            # (rho s).q in place of rho (s.q): the same terms, rounded in another order
+            np.testing.assert_allclose(got[j], want, rtol=0, atol=1e-12 * np.abs(want).max())
+    assert len(live) == 3
