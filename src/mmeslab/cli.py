@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import reports
 from .decomposition import (
     conjecture_audit,
+    derived_model,
     fit_coefficients,
     known_errata,
     printed_model,
@@ -59,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="invariants of a state file")
     p_inv.add_argument("--in", dest="in_path", required=True)
     p_inv.add_argument("--max-weight", type=int, help="largest k of M_k (default: min(4, n))")
-    p_inv.add_argument("--no-tangle", action="store_true")
     p_inv.add_argument("--no-purity", action="store_true")
 
     p_ver = sub.add_parser("verify", help="verify pi_ME = C + K on random states")
@@ -131,10 +132,7 @@ def _cmd_invariants(args, argv) -> int:
         print(f"--max-weight must be in [1, {state.n}]", file=sys.stderr)
         return EXIT_BAD_INPUT
     results, errata = reports.invariants_results(
-        state,
-        max_weight,
-        with_tangle=not args.no_tangle,
-        with_purity=not args.no_purity,
+        state, max_weight, with_purity=not args.no_purity
     )
     doc = reports.report_document(
         argv,
@@ -173,6 +171,10 @@ def _cmd_verify(args, argv) -> int:
     return EXIT_OK if summary.passed else EXIT_VERIFY_FAIL
 
 
+def _coeff_text(c: Fraction | float) -> str:
+    return str(c) if isinstance(c, Fraction) else f"{c:.12g}"
+
+
 def _cmd_fit(args, argv) -> int:
     model, diag = fit_coefficients(args.n, args.samples, args.seed)
     doc = reports.report_document(
@@ -182,8 +184,19 @@ def _cmd_fit(args, argv) -> int:
     )
     lines = [
         f"fitted n={args.n}: holdout max residual {diag.holdout_max_residual}, "
-        f"rank {diag.rank}/{len(diag.features)}, snapped={diag.snapped}"
+        f"rank {diag.rank}/{len(diag.features)}, snapped={diag.snapped}",
+        f"{'coefficient':<12} {'printed':>12} {'derived':>12} {'fitted':>12}",
     ]
+    names = ["C", *(f"M_{k}" for k in range(1, args.n // 2)), "tau", "tau offset"]
+    columns = (
+        printed_model(args.n).coefficients(),
+        derived_model(args.n).coefficients(),
+        model.coefficients(),
+    )
+    for name, *row in zip(names, *columns):
+        cells = " ".join(f"{_coeff_text(c):>12}" for c in row)
+        marker = "   <- printed differs from derived" if row[0] != row[1] else ""
+        lines.append(f"{name:<12} {cells}{marker}")
     _emit(doc, lines, args.pretty)
     return EXIT_OK
 
@@ -208,7 +221,8 @@ def _cmd_search(args, argv) -> int:
     constant = float(printed_model(args.n).constant)
     gap = result.best_value - constant
     lines = [
-        f"best pi_ME = {result.best_value}  (printed constant C = {constant}, gap to C = {gap})"
+        f"best pi_ME = {result.best_value}  (printed constant C = {constant}, gap to C = {gap})",
+        f"n-tangle of best state = {doc['results']['best_n_tangle']}",
     ]
     _emit(doc, lines, args.pretty)
     return EXIT_OK

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import moebius_weight_sums, n_tangle
+from .pauli import moebius_weight_sums, n_tangle, size_to_weight
 from .purity import balanced_purities, subset_purities, subset_purity_tables
 
 # Not called here, since pi_ME and every M_k come from the purity table, but
@@ -92,18 +92,19 @@ class DecompositionModel:
             C + K = lambda_0 + sum_{m>=1} lambda_m * mean_{|A|=m} P(A).
 
         With S_m the sum of P(A) over |A| = m (S_0 = 1), pure states have
-        M_k = sum_{m<=k} (-1)^(k-m) C(n-m, k-m) 2^m S_m (the inverse of
-        ``moebius_weight_sums``) and tau = sum_{m=0}^{n} (-1)^m S_m with
-        S_m = S_{n-m} (the shadow identity; Rains, IEEE TIT 45, 2361 (1999)).
-        Since P(A) = P(A^c), the size-n/2 mean may run over the cuts that
-        contain qubit 1 only.  A correct model is pi_ME itself: (0, ..., 0, 1).
+        M_k = sum_m T[k, m] S_m with T = ``size_to_weight(n)``, and tau =
+        sum_{m=0}^{n} (-1)^m S_m with S_m = S_{n-m} (the shadow identity;
+        Rains, IEEE TIT 45, 2361 (1999)).  Since P(A) = P(A^c), the size-n/2
+        mean may run over the cuts that contain qubit 1 only.  A correct
+        model is pi_ME itself: (0, ..., 0, 1).
         """
         n = self.n
         per_sum = [Fraction(0)] * (n // 2 + 1)  # coefficient of S_m
         per_sum[0] = Fraction(self.constant) + Fraction(self.tau_offset)
+        t = size_to_weight(n)
         for k, coeff in enumerate(self.weight_coeffs, start=1):
-            for m in range(k + 1):
-                per_sum[m] += Fraction(coeff) * (-1) ** (k - m) * comb(n - m, k - m) * 2**m
+            for m, t_km in enumerate(t[k, : k + 1].tolist()):
+                per_sum[m] += Fraction(coeff) * t_km
         for m in range(n + 1):
             per_sum[min(m, n - m)] += Fraction(self.tau_coeff) * (-1) ** m
         return tuple(c * comb(n, m) for m, c in enumerate(per_sum))
@@ -193,9 +194,10 @@ def derived_model(n: int) -> DecompositionModel:
     half = n // 2
     tau_coeff = Fraction((-1) ** half, comb(n, half))
     model = DecompositionModel(n, 0, (Fraction(0),) * (half - 1), tau_coeff, 0, "derived")
+    t = size_to_weight(n)
     for k in range(half - 1, 0, -1):
         w = list(model.weight_coeffs)
-        w[k - 1] = -model.size_weights()[k] / (comb(n, k) * 2**k)
+        w[k - 1] = -model.size_weights()[k] / (comb(n, k) * int(t[k, k]))
         model = replace(model, weight_coeffs=tuple(w))
     offset = -tau_coeff if half % 2 else Fraction(0)
     return replace(model, constant=-model.size_weights()[0] - offset, tau_offset=offset)

@@ -275,13 +275,30 @@ def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> Wei
     return WeightSums(state.n, m, strategy)
 
 
-def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
-    """M_1..M_k_max from a ``subset_purities`` table by binomial Moebius inversion.
+@lru_cache(maxsize=None)
+def size_to_weight(n: int) -> np.ndarray:
+    """Read-only (n+1) x (n+1) integer matrix T with M_k = sum_m T[k, m] * S_m.
 
-    With G_m = sum over |A|=m of 2^m * purity(A) and M_0 = 1,
+    S_m is the sum of the purities of the size-m subsets (S_0 = 1) and M_k
+    the weight-k sum (M_0 = 1).  T[k, m] = (-1)^(k-m) * C(n-m, k-m) * 2^m for
+    m <= k and 0 above the diagonal: the binomial inverse of
 
-        G_m = sum_{k<=m} C(n-k, m-k) * M_k.
+        2^m * S_m = sum_{k<=m} C(n-k, m-k) * M_k.
+
+    Exact integers, cached per n: each row of |T| sums to 2^n.
     """
+    rows = [
+        [(-1) ** (k - m) * comb(n - m, k - m) * 2**m if m <= k else 0 for m in range(n + 1)]
+        for k in range(n + 1)
+    ]
+    t = np.array(rows, dtype=np.int64)
+    t.flags.writeable = False
+    return t
+
+
+def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
+    """M_1..M_k_max from a ``subset_purities`` table: ``size_to_weight`` applied
+    to the table's per-size sums."""
     n = purities.size.bit_length() - 1
     if n < 1 or purities.size != 1 << n:
         raise PauliError(f"a subset-purity table has 2^n entries, n >= 1; got {purities.size}")
@@ -289,11 +306,7 @@ def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
         raise PauliError(f"k_max must be in [1, {n}], got {k_max}")
     sizes = np.bitwise_count(np.arange(purities.size, dtype=np.uint32))
     per_size = np.bincount(sizes, weights=purities, minlength=n + 1)
-    m = [1.0]  # M_0 = F_empty = 1
-    for size in range(1, k_max + 1):
-        g = (1 << size) * float(per_size[size])
-        m.append(g - sum(comb(n - k, size - k) * m[k] for k in range(size)))
-    return tuple(m[1:])
+    return tuple((size_to_weight(n)[1 : k_max + 1] @ per_size).tolist())
 
 
 def n_tangle(state: QState) -> float:

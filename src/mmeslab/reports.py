@@ -144,6 +144,7 @@ def search_dict(result: SearchResult) -> dict[str, Any]:
         "n": result.config.n,
         "restarts": result.config.restarts,
         "best_pi_me": result.best_value,
+        "best_n_tangle": n_tangle(result.best_state),
         "restart_values": list(result.restart_values),
         "restart_iterations": list(result.restart_iterations),
         "restart_stops": list(result.restart_stops),
@@ -156,7 +157,6 @@ def search_dict(result: SearchResult) -> dict[str, Any]:
 def invariants_results(
     state: QState,
     max_weight: int,
-    with_tangle: bool = True,
     with_purity: bool = True,
 ) -> tuple[dict[str, Any], list[str]]:
     """The result block of an invariants report plus any errata flags."""
@@ -168,7 +168,7 @@ def invariants_results(
         "m": list(sums.m),
         "strategy": sums.strategy,
     }
-    if with_tangle and state.n % 2 == 0:
+    if state.n % 2 == 0:
         results["n_tangle"] = n_tangle(state)
     # balanced bipartitions need two qubits, as the tangle needs even n
     if with_purity and state.n >= 2:

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -243,11 +242,11 @@ def save_state(state: QState, destination: str | os.PathLike) -> None:
         raise
 
 
-def load_state(source: str | os.PathLike, renormalize: bool = False) -> QState:
+def load_state(source: str | os.PathLike) -> QState:
     """Read a mmeslab-state-v1 file.
 
-    Rejects norms off by more than 1e-6 unless ``renormalize`` is set, in
-    which case the state is rescaled and a warning is emitted.
+    Rejects norms off by more than ``LOAD_NORM_TOL``; a norm within it is
+    rescaled to 1.
     """
     with open(source, "r", encoding="utf-8") as fh:
         try:
@@ -279,12 +278,7 @@ def load_state(source: str | os.PathLike, renormalize: bool = False) -> QState:
     amps = arr.view(np.complex128).reshape(-1)
     norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     if not abs(norm - 1.0) <= LOAD_NORM_TOL:  # a NaN norm fails here
-        if not renormalize:
-            raise StateError(
-                f"{source}: norm {norm!r} deviates from 1 beyond {LOAD_NORM_TOL}"
-            )
-        warnings.warn(f"{source}: renormalizing state with norm {norm!r}")
-        return _normalized(n, amps)
+        raise StateError(f"{source}: norm {norm!r} deviates from 1 beyond {LOAD_NORM_TOL}")
     if abs(norm - 1.0) <= NORM_TOL:
         # Already within the strict invariant; keep the bytes untouched so
         # save(load(f)) round-trips exactly.

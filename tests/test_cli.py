@@ -231,6 +231,29 @@ def test_verify_rejects_bad_tol(capsys, tol):
     assert "tol" in err
 
 
+def test_pretty_fit_marks_the_n10_erratum_row(capsys):
+    code, _, err = run(capsys, "--pretty", "fit", "--n", "10", "--samples", "40")
+    assert code == 0
+    lines = err.splitlines()
+    header = [i for i, line in enumerate(lines) if line.startswith("coefficient")]
+    assert len(header) == 1, err
+    rows = lines[header[0] + 1 :]
+    names = [row[:12].strip() for row in rows]
+    assert names == ["C", "M_1", "M_2", "M_3", "M_4", "tau", "tau offset"]
+    marked = [row[:12].strip() for row in rows if "printed differs from derived" in row]
+    assert marked == ["M_4"]
+    assert rows[4].split()[1:3] == ["1/1008", "1/2016"]  # printed, derived
+
+
+def test_invariants_has_no_tangle_switch(tmp_path, capsys):
+    out = tmp_path / "g4.json"
+    run(capsys, "state", "--kind", "ghz", "--n", "4", "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--in", str(out), "--no-tangle"])
+    assert exc.value.code == 2
+    assert "--no-tangle" in capsys.readouterr().err
+
+
 def test_fit_command(capsys):
     code, doc, _ = run(capsys, "fit", "--n", "4", "--samples", "40", "--seed", "3")
     assert code == 0
@@ -252,6 +275,23 @@ def test_search_command(capsys):
     assert "objective" not in doc["inputs"] and "objective" not in result
 
 
+@pytest.mark.parametrize(
+    "argv, tangle",
+    [
+        (["--n", "2", "--restarts", "2", "--seed", "1"], 1.0),
+        (["--n", "4", "--restarts", "8", "--seed", "5"], 0.0),
+        (["--n", "6", "--restarts", "8", "--seed", "3"], 1.0),
+        (["--n", "8", "--restarts", "4", "--max-iters", "300", "--seed", "5"], 0.0),
+    ],
+    ids=["n2", "n4", "n6", "n8"],
+)
+def test_search_reports_n_tangle_of_best_state(capsys, argv, tangle):
+    # the paper's conjecture: minima have n-tangle 1 at n = 4m + 2, 0 at n = 4m
+    code, doc, _ = run(capsys, "search", *argv)
+    assert code == 0
+    assert doc["results"]["best_n_tangle"] == pytest.approx(tangle, abs=1e-9)
+
+
 def test_search_has_no_objective_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "2", "--objective", "model"])
@@ -260,7 +300,7 @@ def test_search_has_no_objective_option(capsys):
 
 
 def test_pretty_search_labels_printed_constant(capsys):
-    code, _, err = run(
+    code, doc, err = run(
         capsys, "--pretty", "search", "--n", "6", "--restarts", "1", "--max-iters", "5"
     )
     assert code == 0
@@ -269,6 +309,9 @@ def test_pretty_search_labels_printed_constant(capsys):
     best, gap = map(float, match.groups())
     assert gap == best - 0.125 and gap > 0  # five steps do not reach C
     assert "floor" not in err
+    tangle = re.search(r"n-tangle of best state = (\S+)", err)
+    assert tangle, err
+    assert float(tangle.group(1)) == doc["results"]["best_n_tangle"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mmeslab.pauli import (
     f_invariant,
     moebius_weight_sums,
     n_tangle,
+    size_to_weight,
     weight_sums,
 )
 from mmeslab.states import (
@@ -183,6 +186,22 @@ def test_hermitian_residue_guard(monkeypatch):
         weight_sums(random_state(13, 3), 1, "enumeration")
     with pytest.raises(PauliError, match="non-Hermitian"):
         expectation(random_state(4, 3), PauliString(4, {1: "x", 2: "y"}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 16])
+def test_size_to_weight_inverts_the_size_sums_of_the_weight_sums(n):
+    # 2^m * S_m = sum_{k<=m} C(n-k, m-k) * M_k, exactly
+    t = size_to_weight(n)
+    assert t.dtype == np.int64 and not t.flags.writeable
+    forward = [
+        [Fraction(comb(n - k, m - k), 2**m) if k <= m else 0 for k in range(n + 1)]
+        for m in range(n + 1)
+    ]
+    product = [
+        [sum(int(t[k, m]) * forward[m][j] for m in range(n + 1)) for j in range(n + 1)]
+        for k in range(n + 1)
+    ]
+    assert product == [[int(k == j) for j in range(n + 1)] for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("size", [48, 3, 1])

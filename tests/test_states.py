@@ -276,15 +276,12 @@ def test_load_accepts_integer_entries(tmp_path):
     assert load_state(path).amplitudes[0] == 1j
 
 
-def test_load_rejects_bad_norm_then_renormalizes(tmp_path):
+def test_load_rejects_bad_norm(tmp_path):
     path = tmp_path / "halfnorm.json"
     amps = [[0.5, 0.0]] + [[0.0, 0.0]] * 3
     path.write_text(json.dumps({"format": "mmeslab-state-v1", "n": 2, "amplitudes": amps}))
     with pytest.raises(StateError, match="norm"):
         load_state(path)
-    with pytest.warns(UserWarning):
-        s = load_state(path, renormalize=True)
-    assert abs(s.amplitudes[0] - 1.0) < 1e-12
 
 
 def test_load_rejects_garbage(tmp_path):
