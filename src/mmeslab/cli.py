@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import reports
@@ -38,6 +39,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 
+@cache  # built once per process: every parse starts from a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmeslab",
@@ -252,8 +254,7 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args, argv)
     except (StateError, SearchError, ValueError, OSError) as exc:

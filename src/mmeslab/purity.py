@@ -8,16 +8,16 @@ in one pass; pi_ME and every weight sum M_k are linear in that table.
 ``average_balanced_purity`` returns their mean, pi_ME, as a float.
 Every cut purity, here and in the search objective, comes from one kernel,
 ``_gram_blocks``, which gathers the matrices of the cuts of ceil(n/2) qubits
-that contain qubit 1 through per-cut offsets from amplitudes with any
-leading axes.  ``subset_purity_tables`` runs it over a
-stack of states at once, so the fit and the verifier share each call's
-fixed cost among a chunk of states; ``subset_purities`` is that generator
-on one state.
+that contain qubit 1, from amplitudes with any leading axes, through the
+per-cut offsets of ``_plan(n)``, the one cached cut structure per n.
+``subset_purity_tables`` runs it over a stack of states at once, so the fit
+and the verifier share each call's fixed cost among a chunk of states;
+``subset_purities`` is that generator on one state.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -55,74 +55,9 @@ def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
     return min(max(purity, 0.0), 1.0)
 
 
-def _mask(n: int, axes: Iterable[int]) -> int:
-    # axis q holds qubit q + 1, which is bit n - 1 - q of a mask
-    return sum(1 << (n - 1 - q) for q in axes)
-
-
 # Gathered amplitudes per block of cuts (and of flip masks in ``pauli``);
 # larger blocks made the n = 12 table slower and raised its peak RSS.
 _BLOCK_AMPS = 1 << 12
-
-
-@lru_cache(maxsize=None)
-def _offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column offsets of the Gram kernel's cuts: the subsets of
-    h = ceil(n/2) qubits that contain qubit 1, lexicographic.  Every other
-    subset lies inside one of them or has its complement inside one, and
-    P(A) = P(A^c).  Cut c's 2^h x 2^(n - h) matrix has the flat amplitude
-    indices ``rows[c][:, None] | cols[c]``."""
-    h = (n + 1) // 2
-    base = np.arange(1 << n).reshape((2,) * n)
-    cuts = [(0, *rest) for rest in combinations(range(1, n), h - 1)]
-    rows = np.empty((len(cuts), 1 << h), dtype=np.intp)
-    cols = np.empty((len(cuts), 1 << (n - h)), dtype=np.intp)
-    for axes, row, col in zip(cuts, rows, cols):
-        rest = tuple(q for q in range(n) if q not in axes)
-        mat = base.transpose(axes + rest).reshape(row.size, col.size)
-        row[:], col[:] = mat[:, 0], mat[0]
-    for part in (rows, cols):
-        part.setflags(write=False)
-    return rows, cols
-
-
-@lru_cache(maxsize=None)
-def _single_block(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of every cut of ``_offsets(n)`` at once, for cut sets
-    that ``_gram_blocks`` gathers as one block, and their inverse: with the
-    cut stack flattened, ``stack.take(inverse, axis=-1)[..., c, :]`` puts cut
-    c's entries back in amplitude order."""
-    rows, cols = _offsets(n)
-    idx = rows[:, :, None] | cols[:, None, :]
-    flat = idx.reshape(len(rows), -1)
-    cuts = np.arange(len(rows))[:, None]
-    # an assignment, not an argsort: the first sort in a process costs ~1 MB
-    inverse = np.empty_like(flat)
-    inverse[cuts, flat] = cuts * flat.shape[1] + np.arange(flat.shape[1])
-    for part in (idx, inverse):
-        part.setflags(write=False)
-    return idx, inverse
-
-
-def _gram_blocks(amps: np.ndarray):
-    """Per block of the cuts of ``_offsets``: their flat indices ``idx``, the
-    matrices ``mats`` gathered from amplitudes of shape (..., 2^n) and the
-    Gram matrices ``mats @ mats^H``.  Blocks hold about ``_BLOCK_AMPS``
-    gathered amplitudes over all leading axes together; a cut set that fits
-    one block takes its index from ``_single_block``."""
-    n = amps.shape[-1].bit_length() - 1
-    rows, cols = _offsets(n)
-    step = max(1, _BLOCK_AMPS // amps.size)
-    if step >= len(rows):
-        blocks = [_single_block(n)[0]]
-    else:
-        blocks = (
-            rows[start : start + step, :, None] | cols[start : start + step, None, :]
-            for start in range(0, len(rows), step)
-        )
-    for idx in blocks:
-        mats = amps.take(idx, axis=-1)
-        yield idx, mats, mats @ mats.conj().swapaxes(-1, -2)
 
 
 def _trace_subscripts(h: int, keep: tuple[int, ...]) -> str:
@@ -134,10 +69,28 @@ def _trace_subscripts(h: int, keep: tuple[int, ...]) -> str:
     return f"{_LETTERS[-1]}{rows}{''.join(cols)}->{_LETTERS[-1]}{out}"
 
 
-class _Plan(NamedTuple):
-    """How ``subset_purities`` covers all 2^n subsets at one n."""
+def _bits(k: int) -> np.ndarray:
+    """The (2^k, k) bit matrix of 0..2^k - 1, most significant bit first."""
+    return np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
 
-    cut_masks: np.ndarray  # per cut of ``_offsets(n)``
+
+class _Plan(NamedTuple):
+    """The cuts of one n and how ``subset_purities`` covers all 2^n subsets
+    with them.  The cuts are the subsets of h = ceil(n/2) qubits that contain
+    qubit 1, lexicographic.  Every smaller subset lies inside one of them,
+    every other subset has its complement inside one, and P(A) = P(A^c)."""
+
+    # Cut c's 2^h x 2^(n - h) matrix has the flat amplitude indices
+    # ``rows[c][:, None] | cols[c]``; its mask is ``rows[c, -1]``.
+    rows: np.ndarray
+    cols: np.ndarray
+    # Only when every cut fits one block of ``_gram_blocks`` (cuts * 2^n <=
+    # ``_BLOCK_AMPS``, n <= 7), else None: every cut's flat indices at once,
+    # and their inverse.  With the cut stack flattened,
+    # ``stack.take(inverse, axis=-1)[..., c, :]`` puts cut c's entries back
+    # in amplitude order.
+    index: np.ndarray | None
+    inverse: np.ndarray | None
     # per cut: (partial-trace subscripts, size) of each smaller marginal it owns
     owned: tuple[tuple[tuple[str, int], ...], ...]
     owned_masks: dict[int, np.ndarray]  # per size: masks of those marginals, in order
@@ -147,36 +100,66 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
-    # Every subset of size < h lies in some size-h cut that contains qubit 1,
-    # and every larger subset is the complement of one already covered.
     h = (n + 1) // 2
-    rows = _offsets(n)[0]
-    # row offset r of a cut is the mask of the cut qubits that r's bits pick
-    cut_masks = rows[:, -1]
-    subscripts = {}
-    seen = {0, (1 << n) - 1, *cut_masks.tolist()}
-    owned = []
-    owned_masks = {size: [] for size in range(1, h)}
-    for row in rows:
-        mine = []
-        for size in range(1, h):
-            for keep in combinations(range(h), size):
-                mask = int(row[_mask(h, keep)])
-                if mask not in seen:
-                    seen.add(mask)
-                    if keep not in subscripts:
-                        subscripts[keep] = _trace_subscripts(h, keep)
-                    mine.append((subscripts[keep], size))
-                    owned_masks[size].append(mask)
-        owned.append(tuple(mine))
-    complements = np.array(
-        [m for m in range(1 << n) if m not in seen], dtype=np.int64
-    )
-    balanced = np.array(
-        [_mask(n, axes) for axes in combinations(range(n), n // 2)], dtype=np.int64
-    )
-    owned_masks = {size: np.array(masks, dtype=np.intp) for size, masks in owned_masks.items()}
-    return _Plan(cut_masks, tuple(owned), owned_masks, complements, balanced)
+    # Complements reverse the lexicographic order of subsets, so the other
+    # qubits of the cuts, in cut order, are the (n - h)-subsets of 2..n reversed.
+    cut_axes = np.array([(0, *rest) for rest in combinations(range(1, n), h - 1)])
+    rest_axes = np.array(list(combinations(range(1, n), n - h)), dtype=np.intp)[::-1]
+    # axis q holds qubit q + 1, bit n - 1 - q of a mask; a row offset sets
+    # the cut qubits that its bits pick, the first cut qubit on its top bit
+    weights = 1 << (n - 1 - np.arange(n))
+    rows = weights[cut_axes] @ _bits(h).T
+    cols = weights[rest_axes] @ _bits(n - h).T
+    # Each smaller subset is owned by the first cut that contains it, and
+    # comes from the row offset that picks its qubits of that cut.
+    cuts = np.arange(len(rows))[:, None]
+    owner = np.full(1 << n, len(rows))
+    np.minimum.at(owner, rows, cuts)
+    keeps = [keep for size in range(1, h) for keep in combinations(range(h), size)]
+    picks = rows[:, [sum(1 << (h - 1 - j) for j in keep) for keep in keeps]]
+    mine = owner[picks] == cuts
+    entries = [(_trace_subscripts(h, keep), len(keep)) for keep in keeps]
+    owned = tuple(tuple(compress(entries, row)) for row in mine.tolist())
+    sizes = np.array([len(keep) for keep in keeps])
+    owned_masks = {
+        size: picks[:, sizes == size][mine[:, sizes == size]] for size in range(1, h)
+    }
+    # no cut holds the complements, nor the full set (the last mask)
+    complements = np.flatnonzero(owner[:-1] == len(rows))
+    top = np.arange((1 << n) - 1, -1, -1)  # masks of one size descend lexicographically
+    balanced = top[np.bitwise_count(top) == n // 2]
+    index = inverse = None
+    if len(rows) << n <= _BLOCK_AMPS:
+        index = rows[:, :, None] | cols[:, None, :]
+        flat = index.reshape(len(rows), -1)
+        # an assignment, not an argsort: the first sort in a process costs ~1 MB
+        inverse = np.empty_like(flat)
+        inverse[cuts, flat] = cuts * flat.shape[1] + np.arange(flat.shape[1])
+    for part in (rows, cols, index, inverse, complements, balanced, *owned_masks.values()):
+        if part is not None:
+            part.setflags(write=False)
+    return _Plan(rows, cols, index, inverse, owned, owned_masks, complements, balanced)
+
+
+def _gram_blocks(amps: np.ndarray):
+    """Per block of the cuts of ``_plan``: their flat indices ``idx``, the
+    matrices ``mats`` gathered from amplitudes of shape (..., 2^n) and the
+    Gram matrices ``mats @ mats^H``.  Blocks hold about ``_BLOCK_AMPS``
+    gathered amplitudes over all leading axes together; a cut set that fits
+    one block takes the plan's one-block index."""
+    plan = _plan(amps.shape[-1].bit_length() - 1)
+    rows, cols = plan.rows, plan.cols
+    step = max(1, _BLOCK_AMPS // amps.size)
+    if step >= len(rows):  # cuts * 2^n <= _BLOCK_AMPS, or one cut: the plan has the index
+        blocks = [plan.index]
+    else:
+        blocks = (
+            rows[start : start + step, :, None] | cols[start : start + step, None, :]
+            for start in range(0, len(rows), step)
+        )
+    for idx in blocks:
+        mats = amps.take(idx, axis=-1)
+        yield idx, mats, mats @ mats.conj().swapaxes(-1, -2)
 
 
 class _SquaredNorms:
@@ -221,7 +204,7 @@ def _tables(amps: np.ndarray) -> np.ndarray:
     plan = _plan(n)
     h = (n + 1) // 2
     shape = (count,) + (2,) * (2 * h)
-    cut_values = np.empty((count, len(plan.cut_masks)), dtype=np.complex128)
+    cut_values = np.empty((count, len(plan.rows)), dtype=np.complex128)
     marginals = {
         size: _SquaredNorms(count, size, len(masks))
         for size, masks in plan.owned_masks.items()
@@ -237,7 +220,7 @@ def _tables(amps: np.ndarray) -> np.ndarray:
                 np.einsum(subscripts, rho, out=marginals[size].slot())
         start = stop
     tables = np.empty((count, dim))
-    tables[:, plan.cut_masks] = cut_values.real
+    tables[:, plan.rows[:, -1]] = cut_values.real
     for size, squares in marginals.items():
         tables[:, plan.owned_masks[size]] = squares.result()
     tables[:, 0] = tables[:, -1] = 1.0

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .purity import _BLOCK_AMPS, _gram_blocks, _offsets, _single_block, average_balanced_purity
+from .purity import _BLOCK_AMPS, _gram_blocks, _plan, average_balanced_purity
 from .states import QState, StateError, _normalized, check_seed, random_state
 
 _MEMORY = 8  # L-BFGS correction pairs kept
@@ -114,12 +114,13 @@ def _mean_purity_and_grad(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lead = amps.shape[:-1]
     n = amps.shape[-1].bit_length() - 1
-    count = len(_offsets(n)[0])
+    plan = _plan(n)
+    count = len(plan.rows)
     grad = np.zeros_like(amps)
     for idx, mats, grams in _gram_blocks(amps):
         prod = (grams @ mats).reshape(*lead, -1)  # G M of each cut, cuts flattened
         if len(idx) == count:  # one block: a gather through the cached inverse
-            grad += prod.take(_single_block(n)[1], axis=-1).sum(axis=-2)
+            grad += prod.take(plan.inverse, axis=-1).sum(axis=-2)
         else:  # cut c scattered into row c of its own 2^n amplitudes
             scattered = np.empty_like(prod)
             scattered[..., (idx + (np.arange(len(idx)) << n)[:, None, None]).ravel()] = prod
@@ -338,7 +339,7 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
     subset-purity table."""
     n = config.n
     t0 = time.perf_counter()
-    group = max(1, _BLOCK_AMPS // (len(_offsets(n)[0]) << n))
+    group = max(1, _BLOCK_AMPS // (len(_plan(n).rows) << n))
     values, iterations, stops, grad_norms = [], [], [], []
     best_x, best_f = None, np.inf
     for first in range(0, config.restarts, group):

@@ -32,6 +32,13 @@ class StateError(ValueError):
     """Invalid state construction or malformed state file."""
 
 
+def _norm(amps: np.ndarray) -> float:
+    """The 2-norm of the amplitudes; inf, without an overflow warning, once
+    a squared modulus overflows."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+
+
 @dataclass(frozen=True)
 class QState:
     """Normalized pure state of ``n`` qubits as 2**n complex amplitudes."""
@@ -47,7 +54,7 @@ class QState:
             raise StateError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape}"
             )
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        norm = _norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN norm fails
             raise StateError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         amps.setflags(write=False)
@@ -64,7 +71,7 @@ class QState:
 
 def _normalized(n: int, amps: np.ndarray, meta: Mapping | None = None) -> QState:
     amps = np.asarray(amps, dtype=np.complex128)
-    norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    norm = _norm(amps)
     if norm == 0.0:
         raise StateError("cannot normalize the zero vector")
     return QState(n, amps / norm, dict(meta or {}))
@@ -131,7 +138,7 @@ def make_psi_m8() -> QState:
     for a_tokens, b_tokens in _PSI_M8_LINES:
         raw += np.kron(_bracket(a_tokens), _bracket(b_tokens))
     raw /= 8.0
-    raw_norm = math.sqrt(float(np.sum(np.abs(raw) ** 2)))
+    raw_norm = _norm(raw)
     return _normalized(8, raw, meta={"raw_norm": raw_norm})
 
 
@@ -229,9 +236,12 @@ def save_state(state: QState, destination: str | os.PathLike) -> None:
     """
     text = json.dumps(state_document(state), check_circular=False)
     destination = os.fspath(destination)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(destination)) or ".", suffix=".tmp"
-    )
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(destination)) or ".", suffix=".tmp"
+        )
+    except OSError as exc:  # its message would name the temp file
+        raise StateError(f"cannot write {destination}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -276,7 +286,7 @@ def load_state(source: str | os.PathLike) -> QState:
     if arr.shape != (1 << n, 2):
         raise StateError(f"{source}: amplitude entries must be [re, im] pairs")
     amps = arr.view(np.complex128).reshape(-1)
-    norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    norm = _norm(amps)
     if not abs(norm - 1.0) <= LOAD_NORM_TOL:  # a NaN norm fails here
         raise StateError(f"{source}: norm {norm!r} deviates from 1 beyond {LOAD_NORM_TOL}")
     if abs(norm - 1.0) <= NORM_TOL:

@@ -91,6 +91,15 @@ def test_state_too_many_qubits(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_state_into_missing_directory_names_the_destination(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, doc, err = run(capsys, "state", "--kind", "ghz", "--n", "2", "--out", "missing/x.json")
+    assert code == 2 and doc is None
+    assert "missing/x.json" in err
+    assert ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_invariants_roundtrip_and_errata(tmp_path, capsys):
     out = tmp_path / "g10.json"
     run(capsys, "state", "--kind", "ghz", "--n", "10", "--out", str(out))
@@ -344,6 +353,13 @@ def test_pretty_goes_to_stderr(capsys):
     code, doc, err = run(capsys, "--pretty", "audit")
     assert code == 0
     assert "required tau" in err
+
+
+def test_parser_keeps_no_option_between_calls(capsys):
+    # the parser is built once per process; --pretty must not outlive its call
+    assert run(capsys, "--pretty", "audit")[2]
+    code, _, err = run(capsys, "audit")
+    assert code == 0 and err == ""
 
 
 def test_floats_roundtrip_through_report(tmp_path, capsys):

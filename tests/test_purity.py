@@ -140,16 +140,16 @@ def test_subset_purities_sample_at_n12():
         assert table[mask] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_cut_offsets_give_reshaped_matrices(n):
-    # the cuts of ceil(n/2) qubits that contain qubit 1, at odd and even n
+    # the plan's cuts: ceil(n/2) qubits that contain qubit 1, at odd and even n
     amps = random_state(n, 60 + n).amplitudes
     size = (n + 1) // 2
     cuts = [a for a in combinations(range(n), size) if a[0] == 0]
-    rows, cols = purity._offsets(n)
-    assert rows.shape == (len(cuts), 1 << size)
-    assert cols.shape == (len(cuts), 1 << (n - size))
-    for axes, row, col in zip(cuts, rows, cols):
+    plan = purity._plan(n)
+    assert plan.rows.shape == (len(cuts), 1 << size)
+    assert plan.cols.shape == (len(cuts), 1 << (n - size))
+    for axes, row, col in zip(cuts, plan.rows, plan.cols):
         rest = [q for q in range(n) if q not in axes]
         mat = amps.reshape((2,) * n).transpose(list(axes) + rest).reshape(1 << size, -1)
         np.testing.assert_array_equal(amps[row[:, None] | col[None, :]], mat)
@@ -157,9 +157,74 @@ def test_cut_offsets_give_reshaped_matrices(n):
 
 def test_cut_offsets_are_small_at_n12():
     # per-cut offsets, not a 462 x 2^12 index table (7.57 MB as int32)
-    rows, cols = purity._offsets(12)
-    assert rows.shape == cols.shape == (462, 64)
-    assert rows.nbytes + cols.nbytes <= 1 << 20
+    plan = purity._plan(12)
+    assert plan.rows.shape == plan.cols.shape == (462, 64)
+    assert plan.rows.nbytes + plan.cols.nbytes <= 1 << 20
+
+
+def _owned_keep(subscripts):
+    # the cut positions a partial trace keeps: the row letters of its output
+    out = subscripts.split("->")[1][1:]
+    return tuple(purity._LETTERS.index(letter) for letter in out[: len(out) // 2])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_plan_partitions_the_subsets(n):
+    # {0, full}, the cuts, the owned marginals and the complements, each once
+    plan = purity._plan(n)
+    parts = [[0, (1 << n) - 1], plan.rows[:, -1], *plan.owned_masks.values(), plan.complements]
+    masks = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
+    assert masks.size == 1 << n
+    np.testing.assert_array_equal(np.bincount(masks, minlength=1 << n), 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_plan_owner_is_the_first_cut_that_contains_it(n):
+    plan = purity._plan(n)
+    h = (n + 1) // 2
+    cut_masks = plan.rows[:, -1].tolist()
+    taken = {size: 0 for size in plan.owned_masks}
+    for c, owned in enumerate(plan.owned):
+        for subscripts, size in owned:
+            keep = _owned_keep(subscripts)
+            assert len(keep) == size
+            mask = int(plan.owned_masks[size][taken[size]])
+            taken[size] += 1
+            # the marginal traced out of cut c is the mask listed for it
+            assert mask == plan.rows[c, sum(1 << (h - 1 - j) for j in keep)]
+            assert [m for m in cut_masks if mask & ~m == 0][0] == cut_masks[c]
+    assert taken == {size: len(masks) for size, masks in plan.owned_masks.items()}
+    # per size and cut, the owned marginals come in lexicographic order
+    for owned in plan.owned:
+        keeps = [_owned_keep(subscripts) for subscripts, _ in owned]
+        assert keeps == sorted(keeps, key=lambda keep: (len(keep), keep))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_plan_one_block_index_exists_exactly_when_cuts_fit_one_block(n):
+    plan = purity._plan(n)
+    cuts = len(plan.rows)
+    assert (plan.index is not None) == (cuts << n <= purity._BLOCK_AMPS)
+    assert (plan.inverse is not None) == (plan.index is not None)
+    if plan.index is None:
+        return
+    np.testing.assert_array_equal(plan.index, plan.rows[:, :, None] | plan.cols[:, None, :])
+    stack = np.arange(cuts)[:, None] * (1 << n) + plan.index.reshape(cuts, -1)
+    back = stack.ravel().take(plan.inverse)
+    np.testing.assert_array_equal(back, np.arange(cuts)[:, None] * (1 << n) + np.arange(1 << n))
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_plan_builds_beyond_n12(n):
+    plan = purity._plan(n)
+    h = (n + 1) // 2
+    assert plan.rows.shape == (comb(n - 1, h - 1), 1 << h)
+    assert plan.cols.shape == (comb(n - 1, h - 1), 1 << (n - h))
+    assert plan.index is plan.inverse is None
+    owned = sum(len(masks) for masks in plan.owned_masks.values())
+    assert owned == sum(comb(n, size) for size in range(1, h))
+    assert 2 + len(plan.rows) + owned + len(plan.complements) == 1 << n
+    assert plan.balanced.size == comb(n, n // 2)
 
 
 def _haar_states(n, count, seed):

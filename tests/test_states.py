@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_state_rejects_bad_norm():
 def test_state_rejects_nan_amplitude():
     with pytest.raises(StateError):
         QState(1, [np.nan, 0.0])
+
+
+def test_overflowing_norm_raises_state_error_not_a_warning(tmp_path):
+    path = tmp_path / "huge.json"
+    amps = [[1e308, 1e308], [1e308, 0.0]]
+    path.write_text(json.dumps({"format": "mmeslab-state-v1", "n": 1, "amplitudes": amps}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="norm inf"):
+            QState(1, [1e200, 0])
+        with pytest.raises(StateError, match="norm inf"):
+            load_state(path)
 
 
 @pytest.mark.parametrize("n", [True, 1.0, "1", None])
