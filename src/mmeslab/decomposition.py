@@ -274,8 +274,8 @@ def verify_identity(n: int, samples: int, seed: int, tol: float) -> Verification
     """
     if not 0 <= tol < inf:  # written so that a NaN tol fails
         raise ModelError(f"tol must be a finite number >= 0, got {tol!r}")
-    if samples < 1:
-        raise ModelError(f"need samples >= 1, got {samples}")
+    if type(samples) is not int or samples < 1:
+        raise ModelError(f"samples must be an int >= 1, got {samples!r}")
     model = printed_model(n)
     canonical = canonical_states(n)
     labels = [label for label, _ in canonical] + [f"random[{i}]" for i in range(samples)]
@@ -347,6 +347,8 @@ def fit_coefficients(
     if n not in SUPPORTED_N:
         raise ModelError(f"fit supports n in {SUPPORTED_N}, got {n}")
     min_samples = 4 * (n // 2 + 2)
+    if type(samples) is not int:
+        raise ModelError(f"samples must be an int, got {samples!r}")
     if samples < min_samples:
         raise ModelError(f"need at least {min_samples} samples for n={n}")
     if type(holdout_samples) is not int or holdout_samples < 1:

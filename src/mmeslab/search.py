@@ -25,13 +25,14 @@ matrices in one kernel block: max(1, ``_BLOCK_AMPS`` // (cuts * 2^n)), i.e.
 descends as one (R, 2^(n+1)) real array, so every numpy call serves all its
 restarts.  Each row keeps its own correction pairs, step length and stop,
 and leaves the stack when it stops, so a restart ends bit for bit as it
-would alone.
+would alone.  The pairs are stored newest first, at most ``_MEMORY`` slots
+for the whole stack: slot j holds each row's j-th newest pair, or zeros
+where the row has none, so the two-loop walks at most ``_MEMORY`` slots.
 """
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,28 +166,15 @@ def _scale_free(x: np.ndarray) -> tuple[list[float], np.ndarray, list[float]]:
     return f.tolist(), g / r, [math.sqrt(v) for v in np.vecdot(g, g).tolist()]
 
 
-@dataclass(slots=True)
-class _Slot:
-    """One correction pair (s, y) per row of a stack of restarts, with rho s
-    and rho y, rho = 1 / s.y; both products are 0 in rows without a pair."""
-
-    s: np.ndarray
-    y: np.ndarray
-    rho_s: np.ndarray
-    rho_y: np.ndarray
-    holds: list[bool]  # the rows that hold a pair in this slot
-
-
 class _Pairs:
-    """The L-BFGS memory of a stack of restarts, as slots oldest first.
-
-    The two-loop passes unchanged over a row with rho s = rho y = 0, so
-    each row is updated by exactly its own newest ``_MEMORY`` pairs.
+    """The L-BFGS memory of a stack of restarts: at most ``_MEMORY`` slots
+    (s, y, rho s, rho y), rho = 1 / s.y, newest first.  Row i of slot j is
+    row i's j-th newest pair; where a row has no such pair, its rho s and
+    rho y are 0 and the two-loop passes over it unchanged.
     """
 
     def __init__(self, rows: int):
-        self.slots: deque[_Slot] = deque()
-        self.held = [0] * rows  # pairs each row holds
+        self.slots: list[tuple[np.ndarray, ...]] = []
         # rho y.y of each row's newest pair, the two-loop's initial scaling
         self.scale = np.ones((rows, 1))
 
@@ -195,13 +183,13 @@ class _Pairs:
         pairs: the two-loop recursion (Nocedal & Wright, Alg. 7.4) on -g."""
         q = -g
         alphas = []
-        for slot in reversed(self.slots):
-            alpha = np.vecdot(slot.rho_s, q, keepdims=True)
-            q -= alpha * slot.y
+        for _, y, rho_s, _ in self.slots:
+            alpha = np.vecdot(rho_s, q, keepdims=True)
+            q -= alpha * y
             alphas.append(alpha)
         q /= self.scale
-        for slot, alpha in zip(self.slots, reversed(alphas)):
-            q += (alpha - np.vecdot(slot.rho_y, q, keepdims=True)) * slot.s
+        for (s, _, _, rho_y), alpha in zip(reversed(self.slots), reversed(alphas)):
+            q += (alpha - np.vecdot(rho_y, q, keepdims=True)) * s
         return q
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
@@ -213,49 +201,33 @@ class _Pairs:
             1.0 / v if v > eps * (math.sqrt(a) * math.sqrt(b)) else 0.0
             for v, a, b in zip(sy, ss, yy)
         ]
-        holds = [r != 0.0 for r in rho]
-        if not any(holds):
+        accepted = [r != 0.0 for r in rho]
+        if not any(accepted):
             return
-        column = np.array(rho)[:, None]
-        self.slots.append(_Slot(s, y, column * s, column * y, holds))
         for i, r in enumerate(rho):
-            if not r:
-                continue
-            self.scale[i, 0] = r * yy[i]
-            if self.held[i] < _MEMORY:
-                self.held[i] += 1
-            else:  # the row's oldest pair goes
-                self._forget(next(slot for slot in self.slots if slot.holds[i]), i)
-        while not any(self.slots[0].holds):
-            self.slots.popleft()
+            if r:
+                self.scale[i, 0] = r * yy[i]
+        column = np.array(rho)[:, None]
+        new = (s, y, column * s, column * y)  # rho s = rho y = 0 where refused
+        if all(accepted):
+            self.slots = [new, *self.slots][:_MEMORY]
+        else:  # a refusing row keeps its slots where they are
+            mask = np.array(accepted)[:, None]
+            self.slots = [
+                tuple(np.where(mask, a, b) for a, b in zip(newer, older))
+                for newer, older in zip([new, *self.slots][:_MEMORY], [*self.slots, new])
+            ]
 
     def clear(self, rows: list[int]) -> None:
         """Empty the memory of the given rows."""
-        for i in rows:
-            for slot in self.slots:
-                if slot.holds[i]:
-                    self._forget(slot, i)
-            self.held[i] = 0
+        for _, _, rho_s, rho_y in self.slots:
+            rho_s[rows] = rho_y[rows] = 0.0
         self.scale[rows] = 1.0
-        self._drop_empty()
 
     def keep(self, rows: list[int]) -> None:
         """Keep only the given rows of the stack, in that order."""
-        for slot in self.slots:
-            slot.s, slot.y = slot.s[rows], slot.y[rows]
-            slot.rho_s, slot.rho_y = slot.rho_s[rows], slot.rho_y[rows]
-            slot.holds = [slot.holds[i] for i in rows]
-        self.held = [self.held[i] for i in rows]
+        self.slots = [tuple(part[rows] for part in slot) for slot in self.slots]
         self.scale = self.scale[rows]
-        self._drop_empty()
-
-    def _drop_empty(self) -> None:
-        self.slots = deque(slot for slot in self.slots if any(slot.holds))
-
-    @staticmethod
-    def _forget(slot: _Slot, i: int) -> None:
-        slot.rho_s[i] = slot.rho_y[i] = 0.0
-        slot.holds[i] = False
 
 
 def _run_restarts(starts: np.ndarray, max_iters: int) -> list[tuple]:

@@ -164,6 +164,22 @@ def test_verify_identity_needs_samples():
         verify_identity(4, samples=0, seed=0, tol=1e-9)
 
 
+@pytest.mark.parametrize("samples", [True, 2.5, 3.0, np.int64(3), "3"])
+def test_verify_identity_refuses_samples_that_are_not_ints(samples):
+    with pytest.raises(ModelError, match="samples must be an int"):
+        verify_identity(4, samples, 0, 1e-9)
+
+
+@pytest.mark.parametrize("samples", [True, 24.0, 24.5, np.int64(24), "24"])
+def test_fit_refuses_samples_that_are_not_ints(samples, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a state was drawn before the arguments were checked")
+
+    monkeypatch.setattr(decomposition, "random_state", no_draw)
+    with pytest.raises(ModelError, match="samples must be an int"):
+        fit_coefficients(4, samples, 0)
+
+
 def test_fit_recovers_n4_model():
     model, diag = fit_coefficients(4, samples=40, seed=5)
     assert diag.holdout_max_residual <= 1e-9

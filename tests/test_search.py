@@ -202,18 +202,29 @@ def test_pinned_trajectories(config, iterations, best, last_stop):
     assert result.best_value == pytest.approx(best, abs=1e-12)
 
 
-def test_restart_groups_do_not_change_restarts():
-    # n = 6 groups 6 restarts: 16 restarts run as groups of 6, 6 and 4
+@pytest.mark.parametrize(
+    "n, counts, alone",
+    [
+        # n = 6 groups 6 restarts: 16 restarts run as groups of 6, 6 and 4
+        (6, (1, 6, 16), range(16)),
+        # n = 4 groups 85: 90 restarts run as groups of 85 and 5
+        (4, (1, 85, 90), (0, 1, 42, 84, 85, 89)),
+    ],
+    ids=["n6", "n4"],
+)
+def test_restart_groups_do_not_change_restarts(n, counts, alone):
     parts = ("restart_values", "restart_iterations", "restart_stops", "restart_grad_norms")
-    runs = {k: minimize_average_purity(SearchConfig(n=6, restarts=k, seed=0)) for k in (1, 6, 16)}
-    for k in (1, 6):
+    runs = {k: minimize_average_purity(SearchConfig(n=n, restarts=k, seed=0)) for k in counts}
+    most = runs[counts[-1]]
+    for k in counts[:-1]:
         for part in parts:
-            assert getattr(runs[16], part)[:k] == getattr(runs[k], part)
-    # and every restart of the 16, run alone, ends bit for bit the same
-    for r, want in enumerate(zip(*(getattr(runs[16], part) for part in parts))):
-        start = random_state(6, 0, _RESTART_STREAM + r).amplitudes
-        ((_, *alone),) = _run_restarts(start[None], 2000)
-        assert tuple(alone) == want
+            assert getattr(most, part)[:k] == getattr(runs[k], part)
+    # and a restart of the last run, run alone, ends bit for bit the same
+    wants = list(zip(*(getattr(most, part) for part in parts)))
+    for r in alone:
+        start = random_state(n, 0, _RESTART_STREAM + r).amplitudes
+        ((_, *got),) = _run_restarts(start[None], 2000)
+        assert tuple(got) == wants[r]
 
 
 def _serial_two_loop(g, pairs):
@@ -232,19 +243,22 @@ def _serial_two_loop(g, pairs):
     return q
 
 
-def test_stacked_memory_matches_serial_two_loop():
+@pytest.mark.parametrize("width", [1, 5, 85])
+def test_stacked_memory_matches_serial_two_loop(width):
     # rows refuse some pairs (s.y < 0), clear their memory and leave the stack
-    # at different steps; each row must see exactly its own newest pairs
+    # at different steps; each row must see exactly its own newest pairs, in
+    # at most _MEMORY slots
     rng = np.random.default_rng(3)
     dim = 12
-    memory = _Pairs(5)
-    serial = {row: deque(maxlen=_MEMORY) for row in range(5)}
-    live = list(range(5))
+    memory = _Pairs(width)
+    serial = {row: deque(maxlen=_MEMORY) for row in range(width)}
+    live = list(range(width))
     for step in range(30):
         s = rng.standard_normal((len(live), dim))
         y = s * rng.uniform(0.5, 2.0, (len(live), 1)) + 0.3 * rng.standard_normal(s.shape)
         y[rng.random(len(live)) < 0.25] *= -1
         memory.push(s, y)
+        assert len(memory.slots) <= _MEMORY
         for j, row in enumerate(live):
             sy = float(s[j] @ y[j])
             if sy > np.finfo(np.float64).eps * float(np.linalg.norm(s[j]) * np.linalg.norm(y[j])):
@@ -252,11 +266,13 @@ def test_stacked_memory_matches_serial_two_loop():
         if step % 6 == 4:
             cleared = [j for j in range(len(live)) if rng.random() < 0.4]
             memory.clear(cleared)
+            assert len(memory.slots) <= _MEMORY
             for j in cleared:
                 serial[live[j]].clear()
-        if step in (12, 20):
+        if step in (12, 20) and len(live) > 1:
             keep = [j for j in range(len(live)) if j != step % len(live)]
             memory.keep(keep)
+            assert len(memory.slots) <= _MEMORY
             live = [live[j] for j in keep]
         g = rng.standard_normal((len(live), dim))
         got = -memory.direction(g)
@@ -264,4 +280,4 @@ def test_stacked_memory_matches_serial_two_loop():
             want = _serial_two_loop(g[j], serial[row])
             # (rho s).q in place of rho (s.q): the same terms, rounded in another order
             np.testing.assert_allclose(got[j], want, rtol=0, atol=1e-12 * np.abs(want).max())
-    assert len(live) == 3
+    assert len(live) == max(1, width - 2)
