@@ -272,7 +272,9 @@ def verify_identity(n: int, samples: int, seed: int, tol: float) -> Verification
     The states are drawn lazily and their subset-purity tables computed a
     chunk at a time (``subset_purity_tables``).
     """
-    if not 0 <= tol < inf:  # written so that a NaN tol fails
+    # a bool is an int (True would pass as a tolerance of 1); written so
+    # that a NaN tol fails
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < inf:
         raise ModelError(f"tol must be a finite number >= 0, got {tol!r}")
     if type(samples) is not int or samples < 1:
         raise ModelError(f"samples must be an int >= 1, got {samples!r}")

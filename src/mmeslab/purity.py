@@ -6,18 +6,26 @@ the Pauli kernel.  ``subset_purities`` computes the purity of every subset
 in one pass; pi_ME and every weight sum M_k are linear in that table.
 ``balanced_purities`` reads the balanced subsets off it, and
 ``average_balanced_purity`` returns their mean, pi_ME, as a float.
-Every cut purity, here and in the search objective, comes from one kernel,
-``_gram_blocks``, which gathers the matrices of the cuts of ceil(n/2) qubits
-that contain qubit 1, from amplitudes with any leading axes, through the
-per-cut offsets of ``_plan(n)``, the one cached cut structure per n.
-``subset_purity_tables`` runs it over a stack of states at once, so the fit
-and the verifier share each call's fixed cost among a chunk of states;
-``subset_purities`` is that generator on one state.
+Every cut purity, here and in the search objective, comes from the matrices
+of the cuts of h = ceil(n/2) qubits that contain qubit 1, gathered from
+amplitudes with any leading axes in the blocks of ``_cut_indices``, through
+the per-cut offsets of ``_plan(n)``, the one cached cut structure per n;
+``_gram_blocks`` yields them with their Gram matrices for the search.
+
+The smaller marginals follow the run rule.  A cut whose leading run is
+1..j (it holds qubits 1..j, not j + 1) owns A - D for each nonempty D within
+1..j, and lexicographic order lists the cuts in groups of one j.  The table
+stacks a few same-j cut Grams (over all states) and traces them as one tree:
+node D is node "D minus its last qubit" with one more axis traced, and one
+``np.vecdot`` squares each node.  ``subset_purity_tables`` runs this over a
+stack of states at once, so the fit and the verifier share each call's
+fixed cost among a chunk of states; ``subset_purities`` is that generator on
+one state.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -25,8 +33,6 @@ import numpy as np
 from .states import QState, StateError
 
 PURITY_TOL = 1e-10
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
@@ -60,15 +66,6 @@ def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
 _BLOCK_AMPS = 1 << 12
 
 
-def _trace_subscripts(h: int, keep: tuple[int, ...]) -> str:
-    """einsum subscripts that trace every axis of a stack of h-axis rho
-    outside keep; the last letter labels the stack axis."""
-    rows = _LETTERS[:h]
-    cols = [_LETTERS[h + j] if j in keep else rows[j] for j in range(h)]
-    out = "".join(rows[j] for j in keep) + "".join(cols[j] for j in keep)
-    return f"{_LETTERS[-1]}{rows}{''.join(cols)}->{_LETTERS[-1]}{out}"
-
-
 def _bits(k: int) -> np.ndarray:
     """The (2^k, k) bit matrix of 0..2^k - 1, most significant bit first."""
     return np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1
@@ -77,8 +74,12 @@ def _bits(k: int) -> np.ndarray:
 class _Plan(NamedTuple):
     """The cuts of one n and how ``subset_purities`` covers all 2^n subsets
     with them.  The cuts are the subsets of h = ceil(n/2) qubits that contain
-    qubit 1, lexicographic.  Every smaller subset lies inside one of them,
-    every other subset has its complement inside one, and P(A) = P(A^c)."""
+    qubit 1, lexicographic.  The run rule: a cut A whose leading run is 1..j
+    (it holds qubits 1..j, not j + 1) owns the smaller subsets A - D for
+    each nonempty D within 1..j, leaving out the empty A - A of the cut
+    1..h.  Those are exactly the subsets whose first cut containing them is
+    A, so the cuts and what they own cover each subset that lies in a cut
+    once; every other subset takes its complement's value, P(A) = P(A^c)."""
 
     # Cut c's 2^h x 2^(n - h) matrix has the flat amplitude indices
     # ``rows[c][:, None] | cols[c]``; its mask is ``rows[c, -1]``.
@@ -91,9 +92,9 @@ class _Plan(NamedTuple):
     # in amplitude order.
     index: np.ndarray | None
     inverse: np.ndarray | None
-    # per cut: (partial-trace subscripts, size) of each smaller marginal it owns
-    owned: tuple[tuple[tuple[str, int], ...], ...]
-    owned_masks: dict[int, np.ndarray]  # per size: masks of those marginals, in order
+    # (start, stop, j) of each group of consecutive cuts whose run is 1..j;
+    # lexicographic order lists them by descending j, from j = h
+    runs: tuple[tuple[int, int, int], ...]
     complements: np.ndarray  # masks filled from P(A) = P(A^c)
     balanced: np.ndarray  # masks of the size-floor(n/2) subsets, lexicographic
 
@@ -110,119 +111,101 @@ def _plan(n: int) -> _Plan:
     weights = 1 << (n - 1 - np.arange(n))
     rows = weights[cut_axes] @ _bits(h).T
     cols = weights[rest_axes] @ _bits(n - h).T
-    # Each smaller subset is owned by the first cut that contains it, and
-    # comes from the row offset that picks its qubits of that cut.
-    cuts = np.arange(len(rows))[:, None]
-    owner = np.full(1 << n, len(rows))
-    np.minimum.at(owner, rows, cuts)
-    keeps = [keep for size in range(1, h) for keep in combinations(range(h), size)]
-    picks = rows[:, [sum(1 << (h - 1 - j) for j in keep) for keep in keeps]]
-    mine = owner[picks] == cuts
-    entries = [(_trace_subscripts(h, keep), len(keep)) for keep in keeps]
-    owned = tuple(tuple(compress(entries, row)) for row in mine.tolist())
-    sizes = np.array([len(keep) for keep in keeps])
-    owned_masks = {
-        size: picks[:, sizes == size][mine[:, sizes == size]] for size in range(1, h)
-    }
+    run = np.cumprod(cut_axes == np.arange(h), axis=1).sum(axis=1)
+    edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(run)]
+    runs = tuple((a, b, int(run[a])) for a, b in zip(edges, edges[1:]))
     # no cut holds the complements, nor the full set (the last mask)
-    complements = np.flatnonzero(owner[:-1] == len(rows))
+    held = np.zeros(1 << n, dtype=bool)
+    held[rows] = True
+    complements = np.flatnonzero(~held[:-1])
     top = np.arange((1 << n) - 1, -1, -1)  # masks of one size descend lexicographically
     balanced = top[np.bitwise_count(top) == n // 2]
     index = inverse = None
     if len(rows) << n <= _BLOCK_AMPS:
         index = rows[:, :, None] | cols[:, None, :]
         flat = index.reshape(len(rows), -1)
+        cuts = np.arange(len(rows))[:, None]
         # an assignment, not an argsort: the first sort in a process costs ~1 MB
         inverse = np.empty_like(flat)
         inverse[cuts, flat] = cuts * flat.shape[1] + np.arange(flat.shape[1])
-    for part in (rows, cols, index, inverse, complements, balanced, *owned_masks.values()):
+    for part in (rows, cols, index, inverse, complements, balanced):
         if part is not None:
             part.setflags(write=False)
-    return _Plan(rows, cols, index, inverse, owned, owned_masks, complements, balanced)
+    return _Plan(rows, cols, index, inverse, runs, complements, balanced)
 
 
-def _gram_blocks(amps: np.ndarray):
-    """Per block of the cuts of ``_plan``: their flat indices ``idx``, the
-    matrices ``mats`` gathered from amplitudes of shape (..., 2^n) and the
-    Gram matrices ``mats @ mats^H``.  Blocks hold about ``_BLOCK_AMPS``
-    gathered amplitudes over all leading axes together; a cut set that fits
-    one block takes the plan's one-block index."""
-    plan = _plan(amps.shape[-1].bit_length() - 1)
+def _cut_indices(amps: np.ndarray, plan: _Plan, lo: int, hi: int):
+    """The flat amplitude indices of the cuts lo..hi - 1 of ``plan``, in
+    blocks that gather about ``_BLOCK_AMPS`` amplitudes from ``amps``, of
+    shape (..., 2^n), over all its leading axes together; a cut set that
+    fits one block takes the plan's one-block index."""
     rows, cols = plan.rows, plan.cols
     step = max(1, _BLOCK_AMPS // amps.size)
     if step >= len(rows):  # cuts * 2^n <= _BLOCK_AMPS, or one cut: the plan has the index
-        blocks = [plan.index]
-    else:
-        blocks = (
-            rows[start : start + step, :, None] | cols[start : start + step, None, :]
-            for start in range(0, len(rows), step)
-        )
-    for idx in blocks:
+        return [plan.index[lo:hi]]
+    starts = range(lo, hi, step)
+    return (rows[a:b, :, None] | cols[a:b, None, :] for a, b in zip(starts, [*starts[1:], hi]))
+
+
+def _gram_blocks(amps: np.ndarray):
+    """Per block of ``_cut_indices`` over all the cuts of ``_plan``: the
+    block's indices ``idx``, the matrices ``mats`` they gather and the Gram
+    matrices ``mats @ mats^H``."""
+    plan = _plan(amps.shape[-1].bit_length() - 1)
+    for idx in _cut_indices(amps, plan, 0, len(plan.rows)):
         mats = amps.take(idx, axis=-1)
         yield idx, mats, mats @ mats.conj().swapaxes(-1, -2)
 
 
-class _SquaredNorms:
-    """Squared norms of ``total`` marginals of one size, several at a time.
-
-    ``slot()`` hands out the next slot of a buffer (at most ``_BLOCK_AMPS``
-    amplitudes, at least one slot) for a marginal to be written in place; a
-    full buffer is squared by one ``np.vecdot``, slot by slot, as
-    ``np.vdot`` squares one marginal.  One ``np.vecdot`` call per marginal
-    made a single n = 12 table about 9 % slower.
-    """
-
-    def __init__(self, count: int, size: int, total: int):
-        slots = min(total, max(1, _BLOCK_AMPS // (count << 2 * size)))
-        self.buffer = np.empty((count, slots, 1 << 2 * size), dtype=np.complex128)
-        shape = (count,) + (2,) * (2 * size)
-        self.slots = [self.buffer[:, j].reshape(shape) for j in range(slots)]
-        self.values: list[np.ndarray] = []
-        self.filled = 0
-
-    def slot(self) -> np.ndarray:
-        if self.filled == len(self.slots):
-            self._square()
-        self.filled += 1
-        return self.slots[self.filled - 1]
-
-    def _square(self) -> None:
-        used = self.buffer[:, : self.filled]
-        self.values.append(np.vecdot(used, used).real)
-        self.filled = 0
-
-    def result(self) -> np.ndarray:
-        """Each state's purities of the marginals, in the order written."""
-        self._square()
-        return np.concatenate(self.values, axis=1)
+def _trace_tree(
+    rho: np.ndarray, masks: np.ndarray, first: int, run: int, n: int, tables: np.ndarray
+) -> None:
+    """Write the purities of the marginals ``rho`` of shape (S, cuts, 2^k,
+    2^k) to ``tables[:, masks]``, then recurse into each marginal that traces
+    out one more cut position p, for ``first`` <= p < ``run``.  Every traced
+    position lies below p, so p is kept axis p - (h - k).  A trace that would
+    leave no axis (D = the whole cut 1..h) is skipped."""
+    count, cuts, dim, _ = rho.shape
+    flat = rho.reshape(count, cuts, dim * dim)
+    tables[:, masks] = np.vecdot(flat, flat).real
+    k = dim.bit_length() - 1
+    if k == 1:
+        return
+    half = dim // 2
+    for p in range(first, run):
+        ahead = 1 << (p - (n + 1) // 2 + k)  # 2^(kept axes ahead of p's)
+        axes = rho.reshape(count, cuts, ahead, 2, half // ahead, ahead, 2, -1)
+        traced = axes[:, :, :, 0, :, :, 0] + axes[:, :, :, 1, :, :, 1]
+        child = traced.reshape(count, cuts, half, half)
+        _trace_tree(child, masks & ~(1 << (n - 1 - p)), p + 1, run, n, tables)
 
 
 def _tables(amps: np.ndarray) -> np.ndarray:
-    """The subset-purity tables of a stack of states, amplitudes (S, 2^n)."""
+    """The subset-purity tables of a stack of states, amplitudes (S, 2^n).
+
+    The cuts go in batches of consecutive cuts with one run 1..j, of at
+    most ``4 * _BLOCK_AMPS`` Gram entries over all S states (4 cuts of one
+    n = 12 state, 2 of an n = 10 chunk).  A batch's matrices are gathered in
+    the blocks of ``_cut_indices`` and their Grams written into one buffer,
+    the root of one trace tree: the node for D, a nonempty subset of the
+    run, is node "D minus its last qubit" with that qubit's axis traced, and
+    one ``np.vecdot`` squares the marginal A - D of every cut A at once.
+    """
     count, dim = amps.shape
     n = dim.bit_length() - 1
     plan = _plan(n)
     h = (n + 1) // 2
-    shape = (count,) + (2,) * (2 * h)
-    cut_values = np.empty((count, len(plan.rows)), dtype=np.complex128)
-    marginals = {
-        size: _SquaredNorms(count, size, len(masks))
-        for size, masks in plan.owned_masks.items()
-    }
-    start = 0
-    for _, _, grams in _gram_blocks(amps):
-        stop = start + grams.shape[1]
-        flat = grams.reshape(count, stop - start, -1)
-        np.vecdot(flat, flat, out=cut_values[:, start:stop])
-        for rho, owned in zip(grams.swapaxes(0, 1), plan.owned[start:stop]):
-            rho = rho.reshape(shape)
-            for subscripts, size in owned:
-                np.einsum(subscripts, rho, out=marginals[size].slot())
-        start = stop
+    step = max(1, 4 * _BLOCK_AMPS // (count << 2 * h))
+    buffer = np.empty((count, min(step, len(plan.rows)), 1 << h, 1 << h), dtype=np.complex128)
     tables = np.empty((count, dim))
-    tables[:, plan.rows[:, -1]] = cut_values.real
-    for size, squares in marginals.items():
-        tables[:, plan.owned_masks[size]] = squares.result()
+    for start, stop, run in plan.runs:
+        for lo in range(start, stop, step):
+            at = 0
+            for idx in _cut_indices(amps, plan, lo, min(lo + step, stop)):
+                mats = amps.take(idx, axis=-1)
+                np.matmul(mats, mats.conj().swapaxes(-1, -2), out=buffer[:, at : at + len(idx)])
+                at += len(idx)
+            _trace_tree(buffer[:, :at], plan.rows[lo : lo + at, -1], 0, run, n, tables)
     tables[:, 0] = tables[:, -1] = 1.0
     tables[:, plan.complements] = tables[:, (dim - 1) ^ plan.complements]
     bad = np.argwhere((tables > 1.0 + PURITY_TOL) | (tables < -PURITY_TOL))

@@ -6,10 +6,10 @@ balanced cuts.  Only the cuts that contain qubit 1 are taken, since
 amplitudes: per cut with reshaped amplitude matrix M the derivative with
 respect to conj(M) is 2 M M^H M, so the Euclidean gradient over the
 (re, im) parameter pairs is 4 M M^H M scattered back into flat index order.
-Its cut matrices and Gram matrices come from ``purity._gram_blocks``, as for
-the subset-purity table, and the gradient goes back to flat index order
-through the same indices: by a gather through their cached inverse when all
-cuts fit one block (n <= 6), by a scatter otherwise.
+Its cut matrices and Gram matrices come from ``purity._gram_blocks``, whose
+gathers the subset-purity table shares, and the gradient goes back to flat
+index order through the same indices: by a gather through their cached
+inverse when all cuts fit one block (n <= 6), by a scatter otherwise.
 
 Each restart runs a two-loop L-BFGS (Nocedal & Wright, Numerical
 Optimization, Alg. 7.4) on the real view of z with the scale-invariant

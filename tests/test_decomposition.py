@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_verify_identity_pass_and_fail():
 def test_verify_identity_needs_samples():
     with pytest.raises(ModelError):
         verify_identity(4, samples=0, seed=0, tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [True, False, "1e-9", None, np.int64(1), 1j, -1e-9, inf, nan])
+def test_verify_identity_refuses_a_tol_that_is_not_a_finite_number(tol):
+    # as a tolerance of 1, True would pass the n = 10 erratum table (max
+    # residual ~0.1)
+    with pytest.raises(ModelError, match="tol must be"):
+        verify_identity(10, 1, 0, tol)
+
+
+@pytest.mark.parametrize("tol", [0, 1, 1e-9, np.float64(1e-9)])
+def test_verify_identity_takes_int_and_float_tols(tol):
+    assert verify_identity(4, 1, 0, tol).tol == tol
 
 
 @pytest.mark.parametrize("samples", [True, 2.5, 3.0, np.int64(3), "3"])

@@ -162,42 +162,48 @@ def test_cut_offsets_are_small_at_n12():
     assert plan.rows.nbytes + plan.cols.nbytes <= 1 << 20
 
 
-def _owned_keep(subscripts):
-    # the cut positions a partial trace keeps: the row letters of its output
-    out = subscripts.split("->")[1][1:]
-    return tuple(purity._LETTERS.index(letter) for letter in out[: len(out) // 2])
+def _owned(n):
+    # (mask, owning cut) of each smaller marginal, by the run rule: a cut whose
+    # run is 1..j owns cut & ~bits(D) for each nonempty D within 1..j, except
+    # the empty set left by D = the whole cut 1..h
+    plan = purity._plan(n)
+    h = (n + 1) // 2
+    for start, stop, run in plan.runs:
+        for size in range(1, run + 1):
+            for traced in combinations(range(run), size):
+                if size == h:
+                    continue
+                bits = sum(1 << (n - 1 - p) for p in traced)
+                for c in range(start, stop):
+                    yield int(plan.rows[c, -1]) & ~bits, c
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_plan_partitions_the_subsets(n):
     # {0, full}, the cuts, the owned marginals and the complements, each once
     plan = purity._plan(n)
-    parts = [[0, (1 << n) - 1], plan.rows[:, -1], *plan.owned_masks.values(), plan.complements]
+    owned = [mask for mask, _ in _owned(n)]
+    ends = [0] if n == 1 else [0, (1 << n) - 1]  # at n = 1 the cut {1} is the full set
+    parts = [ends, plan.rows[:, -1], owned, plan.complements]
     masks = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
     assert masks.size == 1 << n
     np.testing.assert_array_equal(np.bincount(masks, minlength=1 << n), 1)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_plan_owner_is_the_first_cut_that_contains_it(n):
     plan = purity._plan(n)
-    h = (n + 1) // 2
-    cut_masks = plan.rows[:, -1].tolist()
-    taken = {size: 0 for size in plan.owned_masks}
-    for c, owned in enumerate(plan.owned):
-        for subscripts, size in owned:
-            keep = _owned_keep(subscripts)
-            assert len(keep) == size
-            mask = int(plan.owned_masks[size][taken[size]])
-            taken[size] += 1
-            # the marginal traced out of cut c is the mask listed for it
-            assert mask == plan.rows[c, sum(1 << (h - 1 - j) for j in keep)]
-            assert [m for m in cut_masks if mask & ~m == 0][0] == cut_masks[c]
-    assert taken == {size: len(masks) for size, masks in plan.owned_masks.items()}
-    # per size and cut, the owned marginals come in lexicographic order
-    for owned in plan.owned:
-        keeps = [_owned_keep(subscripts) for subscripts, _ in owned]
-        assert keeps == sorted(keeps, key=lambda keep: (len(keep), keep))
+    cut_masks = plan.rows[:, -1]
+    # the runs tile the cuts in order, each cut holding qubits 1..j but not j + 1
+    assert [start for start, _, _ in plan.runs] == [0, *[stop for _, stop, _ in plan.runs[:-1]]]
+    assert plan.runs[-1][1] == len(cut_masks)
+    for start, stop, run in plan.runs:
+        lead = ((1 << run) - 1) << (n - run)
+        assert np.all(cut_masks[start:stop] & lead == lead)
+        assert run == n or not np.any(cut_masks[start:stop] >> (n - 1 - run) & 1)
+    owned = np.array(list(_owned(n)), dtype=np.int64).reshape(-1, 2)
+    first = np.argmax(owned[:, :1] & ~cut_masks == 0, axis=1)
+    np.testing.assert_array_equal(first, owned[:, 1])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -221,7 +227,11 @@ def test_plan_builds_beyond_n12(n):
     assert plan.rows.shape == (comb(n - 1, h - 1), 1 << h)
     assert plan.cols.shape == (comb(n - 1, h - 1), 1 << (n - h))
     assert plan.index is plan.inverse is None
-    owned = sum(len(masks) for masks in plan.owned_masks.values())
+    # h runs, j = h down to 1, of the cuts that hold 1..j, not j + 1 and
+    # h - j of the n - j - 1 later qubits
+    runs = [(stop - start, run) for start, stop, run in plan.runs]
+    assert runs == [(comb(n - 1 - j, h - j), j) for j in range(h, 0, -1)]
+    owned = sum(cuts * ((1 << run) - 1) for cuts, run in runs) - 1
     assert owned == sum(comb(n, size) for size in range(1, h))
     assert 2 + len(plan.rows) + owned + len(plan.complements) == 1 << n
     assert plan.balanced.size == comb(n, n // 2)
@@ -283,6 +293,25 @@ def test_gram_blocks_of_a_stack_equal_per_state_blocks(n):
         np.testing.assert_array_equal(np.concatenate([b[0] for b in single]), idx)
         np.testing.assert_array_equal(np.concatenate([b[1] for b in single]), mats[s])
         np.testing.assert_array_equal(np.concatenate([b[2] for b in single]), grams[s])
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_tables_do_not_depend_on_the_tree_batch_size(n, monkeypatch):
+    # _BLOCK_AMPS sets the Gram blocks, the chunks and the cuts per trace
+    # tree, up to 4 * _BLOCK_AMPS Gram entries: one state's trees take 1, 3
+    # and 12 cuts below (4 by default at n = 12), and the last value reads
+    # the 3 states as one chunk, whose trees take 4 cuts
+    states = _haar_states(n, 3, 990 + n)
+    want = [subset_purities(state) for state in states]
+    for (_, table), expected in zip(subset_purity_tables(states), want, strict=True):
+        np.testing.assert_array_equal(table, expected)  # one chunk below n = 12
+    h = (n + 1) // 2
+    for block_amps in (1 << (2 * h - 2), 3 << (2 * h - 2), 3 << (2 * h)):
+        monkeypatch.setattr(purity, "_BLOCK_AMPS", block_amps)
+        for state, table in zip(states, want):
+            np.testing.assert_array_equal(subset_purities(state), table)
+        for (_, table), expected in zip(subset_purity_tables(states), want, strict=True):
+            np.testing.assert_array_equal(table, expected)
 
 
 def test_subset_purity_tables_memory_is_bounded_by_a_chunk():
