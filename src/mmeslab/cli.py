@@ -22,9 +22,8 @@ from .decomposition import (
     printed_model,
     verify_identity,
 )
-from .search import SearchConfig, SearchError, minimize_average_purity
+from .search import SearchConfig, minimize_average_purity
 from .states import (
-    StateError,
     load_state,
     make_basis_state,
     make_ghz,
@@ -257,7 +256,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args, argv)
-    except (StateError, SearchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # StateError and SearchError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -254,6 +254,12 @@ class WeightSums:
         return len(self.m)
 
 
+def _check_k_max(k_max: int, n: int) -> None:
+    """A PauliError unless k_max is an int in [1, n]: a bool or float is refused."""
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 1 <= k_max <= n:
+        raise PauliError(f"k_max must be an int in [1, {n}], got {k_max!r}")
+
+
 def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> WeightSums:
     """M_k for k = 1..k_max, from the Pauli side or by Moebius inversion.
 
@@ -264,8 +270,7 @@ def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> Wei
     same sums from the subset-purity table (see ``moebius_weight_sums``).  The
     two share no code and cross-check each other.
     """
-    if not 1 <= k_max <= state.n:
-        raise PauliError(f"k_max must be in [1, {state.n}], got {k_max}")
+    _check_k_max(k_max, state.n)
     if strategy == "enumeration":
         m = tuple(_weight_enumerator(state, k_max).tolist())
     elif strategy == "moebius":
@@ -302,8 +307,7 @@ def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
     n = purities.size.bit_length() - 1
     if n < 1 or purities.size != 1 << n:
         raise PauliError(f"a subset-purity table has 2^n entries, n >= 1; got {purities.size}")
-    if not 1 <= k_max <= n:
-        raise PauliError(f"k_max must be in [1, {n}], got {k_max}")
+    _check_k_max(k_max, n)
     sizes = np.bitwise_count(np.arange(purities.size, dtype=np.uint32))
     per_size = np.bincount(sizes, weights=purities, minlength=n + 1)
     return tuple((size_to_weight(n)[1 : k_max + 1] @ per_size).tolist())

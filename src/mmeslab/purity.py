@@ -1,4 +1,5 @@
-"""Reduced-state purities, the subset-purity table and the balanced average.
+"""Reduced-state purities, the subset-purity table, the balanced average
+and the search objective.
 
 This is the ground-truth side of every identity check in the package: it
 reshapes the amplitude vector and works with Gram matrices, never touching
@@ -6,11 +7,11 @@ the Pauli kernel.  ``subset_purities`` computes the purity of every subset
 in one pass; pi_ME and every weight sum M_k are linear in that table.
 ``balanced_purities`` reads the balanced subsets off it, and
 ``average_balanced_purity`` returns their mean, pi_ME, as a float.
-Every cut purity, here and in the search objective, comes from the matrices
-of the cuts of h = ceil(n/2) qubits that contain qubit 1, gathered from
-amplitudes with any leading axes in the blocks of ``_cut_indices``, through
-the per-cut offsets of ``_plan(n)``, the one cached cut structure per n;
-``_gram_blocks`` yields them with their Gram matrices for the search.
+Every cut purity comes from the matrices of the cuts of h = ceil(n/2)
+qubits that contain qubit 1, gathered from amplitudes with any leading axes
+in the blocks of ``_cut_indices``, through the per-cut offsets of
+``_plan(n)``, the one cached cut structure per n.  This module is the only
+one that reads that layout.
 
 The smaller marginals follow the run rule.  A cut whose leading run is
 1..j (it holds qubits 1..j, not j + 1) owns A - D for each nonempty D within
@@ -21,6 +22,9 @@ node D is node "D minus its last qubit" with one more axis traced, and one
 stack of states at once, so the fit and the verifier share each call's
 fixed cost among a chunk of states; ``subset_purities`` is that generator on
 one state.
+
+The search descends on ``_mean_purity_and_grad``, pi_ME and its gradient
+read off the same cut blocks, in restart groups of ``_one_block_rows(n)``.
 """
 from __future__ import annotations
 
@@ -85,7 +89,7 @@ class _Plan(NamedTuple):
     # ``rows[c][:, None] | cols[c]``; its mask is ``rows[c, -1]``.
     rows: np.ndarray
     cols: np.ndarray
-    # Only when every cut fits one block of ``_gram_blocks`` (cuts * 2^n <=
+    # Only when every cut fits one block of ``_cut_indices`` (cuts * 2^n <=
     # ``_BLOCK_AMPS``, n <= 7), else None: every cut's flat indices at once,
     # and their inverse.  With the cut stack flattened,
     # ``stack.take(inverse, axis=-1)[..., c, :]`` puts cut c's entries back
@@ -137,24 +141,54 @@ def _plan(n: int) -> _Plan:
 def _cut_indices(amps: np.ndarray, plan: _Plan, lo: int, hi: int):
     """The flat amplitude indices of the cuts lo..hi - 1 of ``plan``, in
     blocks that gather about ``_BLOCK_AMPS`` amplitudes from ``amps``, of
-    shape (..., 2^n), over all its leading axes together; a cut set that
-    fits one block takes the plan's one-block index."""
+    shape (..., 2^n), over all its leading axes together; when every cut
+    fits one block (cuts * amps.size <= ``_BLOCK_AMPS``) it is the plan's
+    one-block index."""
     rows, cols = plan.rows, plan.cols
-    step = max(1, _BLOCK_AMPS // amps.size)
-    if step >= len(rows):  # cuts * 2^n <= _BLOCK_AMPS, or one cut: the plan has the index
+    if len(rows) * amps.size <= _BLOCK_AMPS:
         return [plan.index[lo:hi]]
+    step = max(1, _BLOCK_AMPS // amps.size)
     starts = range(lo, hi, step)
     return (rows[a:b, :, None] | cols[a:b, None, :] for a, b in zip(starts, [*starts[1:], hi]))
 
 
-def _gram_blocks(amps: np.ndarray):
-    """Per block of ``_cut_indices`` over all the cuts of ``_plan``: the
-    block's indices ``idx``, the matrices ``mats`` they gather and the Gram
-    matrices ``mats @ mats^H``."""
-    plan = _plan(amps.shape[-1].bit_length() - 1)
-    for idx in _cut_indices(amps, plan, 0, len(plan.rows)):
+def _one_block_rows(n: int) -> int:
+    """The most rows of n-qubit amplitudes, stacked, whose cuts all fit one
+    block of ``_cut_indices`` (rows * cuts * 2^n <= ``_BLOCK_AMPS``), and at
+    least 1: 1024 at n = 2, 85 at n = 4, 6 at n = 6 and 1 from n = 8 up."""
+    return max(1, _BLOCK_AMPS // (len(_plan(n).rows) << n))
+
+
+def _mean_purity_and_grad(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean Gram-norm purity over the balanced cuts (pi_ME at unit norm) of
+    raw vectors of even n with any leading axes, and its Euclidean
+    real-parameter gradient in complex form (real part = d/d re, imag part =
+    d/d im); one value and one gradient per vector.
+
+    The cuts holding qubit 1 suffice, since ||M M^H||_F = ||M^H M||_F.  Per
+    cut matrix M, the derivative of ||M M^H||_F^2 with respect to conj(M) is
+    2 G M for G = M M^H, so the gradient is 4 G M averaged over the cuts and
+    put back in flat index order: by a gather through the plan's inverse
+    when every cut fits one block (n <= 6), else by a scatter.  The value is
+    read off the sum, since <M, G M> = tr(G M M^H) = ||G||_F^2.
+    """
+    lead = amps.shape[:-1]
+    n = amps.shape[-1].bit_length() - 1
+    plan = _plan(n)
+    count = len(plan.rows)
+    grad = np.zeros_like(amps)
+    for idx in _cut_indices(amps, plan, 0, count):
         mats = amps.take(idx, axis=-1)
-        yield idx, mats, mats @ mats.conj().swapaxes(-1, -2)
+        prod = (mats @ mats.conj().swapaxes(-1, -2) @ mats).reshape(*lead, -1)  # G M per cut
+        if len(idx) == count:  # one block: a gather through the cached inverse
+            grad += prod.take(plan.inverse, axis=-1).sum(axis=-2)
+        else:  # cut c scattered into row c of its own 2^n amplitudes
+            scattered = np.empty_like(prod)
+            scattered[..., (idx + (np.arange(len(idx)) << n)[:, None, None]).ravel()] = prod
+            grad += scattered.reshape(*lead, len(idx), -1).sum(axis=-2)
+    value = np.vecdot(amps, grad).real / count
+    grad *= 4.0 / count
+    return value, grad
 
 
 def _trace_tree(

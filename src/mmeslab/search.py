@@ -1,33 +1,23 @@
 """Numerical minimization of the balanced-bipartition average purity.
 
-Every descent runs on pi_ME itself: the mean Gram-norm purity over the
-balanced cuts.  Only the cuts that contain qubit 1 are taken, since
-||M M^H||_F = ||M^H M||_F for any matrix.  The objective is quartic in the
-amplitudes: per cut with reshaped amplitude matrix M the derivative with
-respect to conj(M) is 2 M M^H M, so the Euclidean gradient over the
-(re, im) parameter pairs is 4 M M^H M scattered back into flat index order.
-Its cut matrices and Gram matrices come from ``purity._gram_blocks``, whose
-gathers the subset-purity table shares, and the gradient goes back to flat
-index order through the same indices: by a gather through their cached
-inverse when all cuts fit one block (n <= 6), by a scatter otherwise.
+Every descent runs on pi_ME itself, through ``purity._mean_purity_and_grad``,
+which owns the cuts and the gradient maths.  Each restart runs a two-loop
+L-BFGS (Nocedal & Wright, Numerical Optimization, Alg. 7.4) on the real view
+of z with the scale-invariant F(z) = f(z/|z|), so there is no sphere
+constraint and no step-size setting.  Steps come from a backtracking
+sufficient-decrease search that starts at t = 1.  A restart stops when the
+tangent gradient at z/|z| is within ``GRAD_TOL`` ("converged"), at
+``max_iters`` steps ("iteration cap"), or when no trial step decreases F
+("line search exhausted").
 
-Each restart runs a two-loop L-BFGS (Nocedal & Wright, Numerical
-Optimization, Alg. 7.4) on the real view of z with the scale-invariant
-F(z) = f(z/|z|), so there is no sphere constraint and no step-size setting.
-Steps come from a backtracking sufficient-decrease search that starts at
-t = 1.  A restart stops when the tangent gradient at z/|z| is within
-``GRAD_TOL`` ("converged"), at ``max_iters`` steps ("iteration cap"), or
-when no trial step decreases F ("line search exhausted").
-
-Restarts run in groups of consecutive restarts, as many as gather their cut
-matrices in one kernel block: max(1, ``_BLOCK_AMPS`` // (cuts * 2^n)), i.e.
-1024 at n = 2, 85 at n = 4, 6 at n = 6 and one from n = 8 up.  A group
-descends as one (R, 2^(n+1)) real array, so every numpy call serves all its
-restarts.  Each row keeps its own correction pairs, step length and stop,
-and leaves the stack when it stops, so a restart ends bit for bit as it
-would alone.  The pairs are stored newest first, at most ``_MEMORY`` slots
-for the whole stack: slot j holds each row's j-th newest pair, or zeros
-where the row has none, so the two-loop walks at most ``_MEMORY`` slots.
+Restarts run in groups of ``purity._one_block_rows(n)`` consecutive
+restarts.  A group descends as one (R, 2^(n+1)) real array, so every numpy
+call serves all its restarts.  Each row keeps its own correction pairs, step
+length and stop, and leaves the stack when it stops, so a restart ends bit
+for bit as it would alone.  The pairs are stored newest first, at most
+``_MEMORY`` slots for the whole stack: slot j holds each row's j-th newest
+pair, or zeros where the row has none, so the two-loop walks at most
+``_MEMORY`` slots.
 """
 from __future__ import annotations
 
@@ -37,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .purity import _BLOCK_AMPS, _gram_blocks, _plan, average_balanced_purity
+from .purity import _mean_purity_and_grad, _one_block_rows, average_balanced_purity
 from .states import QState, StateError, _normalized, check_seed, random_state
 
 _MEMORY = 8  # L-BFGS correction pairs kept
@@ -102,33 +92,6 @@ class SearchResult:
     restart_stops: tuple[str, ...]  # one of the STOP_* reasons per restart
     restart_grad_norms: tuple[float, ...]  # final tangent-gradient norm
     wall_time: float
-
-
-def _mean_purity_and_grad(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean Gram-norm purity over the balanced cuts, for raw (unnormalized)
-    vectors of even n with any leading axes, plus the Euclidean
-    real-parameter gradient in complex form (real part = d/d re, imag part =
-    d/d im); one value and one gradient per vector.
-
-    The gradient sums G M over the cuts, for G = M M^H.  The value is read
-    off that sum, since <M, G M> = tr(G M M^H) = ||G||_F^2 for each cut.
-    """
-    lead = amps.shape[:-1]
-    n = amps.shape[-1].bit_length() - 1
-    plan = _plan(n)
-    count = len(plan.rows)
-    grad = np.zeros_like(amps)
-    for idx, mats, grams in _gram_blocks(amps):
-        prod = (grams @ mats).reshape(*lead, -1)  # G M of each cut, cuts flattened
-        if len(idx) == count:  # one block: a gather through the cached inverse
-            grad += prod.take(plan.inverse, axis=-1).sum(axis=-2)
-        else:  # cut c scattered into row c of its own 2^n amplitudes
-            scattered = np.empty_like(prod)
-            scattered[..., (idx + (np.arange(len(idx)) << n)[:, None, None]).ravel()] = prod
-            grad += scattered.reshape(*lead, len(idx), -1).sum(axis=-2)
-    value = np.vecdot(amps, grad).real / count
-    grad *= 4.0 / count
-    return value, grad
 
 
 def gradient_check(n: int, seed: int) -> float:
@@ -306,12 +269,12 @@ def _run_restarts(starts: np.ndarray, max_iters: int) -> list[tuple]:
 def minimize_average_purity(config: SearchConfig) -> SearchResult:
     """Multi-restart L-BFGS; deterministic for a fixed config.  The restarts
     run in groups of consecutive restarts, as many as gather their cut
-    matrices in one kernel block.  The returned best value is the best
+    matrices in one kernel block (``purity._one_block_rows``).  The returned best value is the best
     state's pi_ME, re-scored by ``average_balanced_purity`` off its
     subset-purity table."""
     n = config.n
     t0 = time.perf_counter()
-    group = max(1, _BLOCK_AMPS // (len(_plan(n).rows) << n))
+    group = _one_block_rows(n)
     values, iterations, stops, grad_norms = [], [], [], []
     best_x, best_f = None, np.inf
     for first in range(0, config.restarts, group):

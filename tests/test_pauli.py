@@ -19,6 +19,7 @@ from mmeslab.pauli import (
     size_to_weight,
     weight_sums,
 )
+from mmeslab.purity import subset_purities
 from mmeslab.states import (
     apply_local_unitaries,
     make_basis_state,
@@ -232,6 +233,27 @@ def test_weight_sums_k_range():
         weight_sums(make_ghz(4), 5)
     with pytest.raises(PauliError):
         weight_sums(make_ghz(4), 2, strategy="magic")
+
+
+@pytest.mark.parametrize("k_max", [True, False, 2.5, 2.0, np.float64(2.0), "2", None])
+def test_k_max_must_be_an_int(k_max):
+    # True once passed 1 <= k_max <= n and returned one M_k; a float raised
+    # a bare TypeError from range or a slice
+    state = make_ghz(4)
+    for strategy in ("enumeration", "moebius"):
+        with pytest.raises(PauliError, match="k_max must be an int"):
+            weight_sums(state, k_max, strategy)
+    with pytest.raises(PauliError, match="k_max must be an int"):
+        moebius_weight_sums(subset_purities(state), k_max)
+
+
+@pytest.mark.parametrize("k_max", [2, np.int64(2), np.uint8(2)])
+def test_k_max_accepts_numpy_ints(k_max):
+    state = random_state(4, 3)
+    want = weight_sums(state, 2).m
+    assert weight_sums(state, k_max).m == want
+    assert weight_sums(state, k_max, "moebius").m == pytest.approx(want, abs=1e-12)
+    assert moebius_weight_sums(subset_purities(state), k_max) == weight_sums(state, 2, "moebius").m
 
 
 @given(seed=st.integers(0, 2**32), n=st.sampled_from([2, 4, 6]))

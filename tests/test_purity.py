@@ -280,21 +280,6 @@ def test_subset_purity_tables_reject_mixed_qubit_counts(chunked):
         list(subset_purity_tables([*first, random_state(5, 961)]))
 
 
-@pytest.mark.parametrize("n", [4, 5, 7])
-def test_gram_blocks_of_a_stack_equal_per_state_blocks(n):
-    states = _haar_states(n, 3, 970 + n)
-    stack = np.stack([state.amplitudes for state in states])
-    stacked = list(purity._gram_blocks(stack))
-    idx = np.concatenate([block[0] for block in stacked])
-    mats = np.concatenate([block[1] for block in stacked], axis=1)
-    grams = np.concatenate([block[2] for block in stacked], axis=1)
-    for s, state in enumerate(states):
-        single = list(purity._gram_blocks(state.amplitudes))
-        np.testing.assert_array_equal(np.concatenate([b[0] for b in single]), idx)
-        np.testing.assert_array_equal(np.concatenate([b[1] for b in single]), mats[s])
-        np.testing.assert_array_equal(np.concatenate([b[2] for b in single]), grams[s])
-
-
 @pytest.mark.parametrize("n", range(4, 13))
 def test_tables_do_not_depend_on_the_tree_batch_size(n, monkeypatch):
     # _BLOCK_AMPS sets the Gram blocks, the chunks and the cuts per trace

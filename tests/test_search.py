@@ -6,7 +6,13 @@ import pytest
 
 from mmeslab.pauli import n_tangle
 from mmeslab import purity
-from mmeslab.purity import average_balanced_purity, subset_purities, subset_purity_tables
+from mmeslab import search
+from mmeslab.purity import (
+    _mean_purity_and_grad,
+    average_balanced_purity,
+    subset_purities,
+    subset_purity_tables,
+)
 from mmeslab.search import (
     _MEMORY,
     _RESTART_STREAM,
@@ -15,7 +21,6 @@ from mmeslab.search import (
     STOP_ITERATION_CAP,
     SearchConfig,
     SearchError,
-    _mean_purity_and_grad,
     _Pairs,
     _run_restarts,
     gradient_check,
@@ -107,6 +112,45 @@ def test_block_boundaries_do_not_matter(n, monkeypatch):
         np.testing.assert_array_equal(got, want)
     assert split_value == pytest.approx(value, abs=1e-13)
     np.testing.assert_allclose(split_grad, grad, rtol=0, atol=1e-13)
+
+
+def _takes_one_block_index(n, rows):
+    """Whether ``rows`` stacked n-qubit vectors gather every cut through the
+    plan's one-block index, the path of the objective's inverse gather."""
+    plan = purity._plan(n)
+    blocks = list(purity._cut_indices(np.zeros((rows, 1 << n)), plan, 0, len(plan.rows)))
+    return len(blocks) == 1 and plan.index is not None and np.shares_memory(blocks[0], plan.index)
+
+
+@pytest.mark.parametrize("block_amps", [None, 1 << 10])
+def test_one_block_rows_is_the_widest_one_block_stack(block_amps, monkeypatch):
+    for n in range(2, 13, 2):
+        purity._plan(n)  # built at the default block size, as in any process
+    if block_amps is not None:
+        monkeypatch.setattr(purity, "_BLOCK_AMPS", block_amps)
+    widths = {n: purity._one_block_rows(n) for n in range(2, 13, 2)}
+    if block_amps is None:
+        assert widths == {2: 1024, 4: 85, 6: 6, 8: 1, 10: 1, 12: 1}
+    for n in (2, 4, 6):
+        assert _takes_one_block_index(n, widths[n])
+        assert not _takes_one_block_index(n, widths[n] + 1)
+    for n in (8, 10, 12):
+        assert widths[n] == 1
+        assert not _takes_one_block_index(n, 1)
+
+
+def test_restart_groups_follow_the_block_size_of_purity(monkeypatch):
+    # search reads the width from purity, so patching purity's block size
+    # regroups the restarts
+    purity._plan(4)
+    monkeypatch.setattr(purity, "_BLOCK_AMPS", 1 << 10)  # n = 4: 21 rows per block
+    widths = []
+    run = search._run_restarts
+    monkeypatch.setattr(
+        search, "_run_restarts", lambda starts, cap: widths.append(len(starts)) or run(starts, cap)
+    )
+    minimize_average_purity(SearchConfig(n=4, restarts=25, max_iters=2, seed=0))
+    assert widths == [21, 4]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
