@@ -306,7 +306,6 @@ def snap_rational(x: float) -> Fraction:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    n: int
     samples: int
     holdout_samples: int
     features: tuple[str, ...]
@@ -382,7 +381,6 @@ def fit_coefficients(
     offset = c0 - exact_c if isinstance(c0, Fraction) else c0 - float(exact_c)
     model = DecompositionModel(n, exact_c, wcs, c_tau, offset, "fitted")
     diag = FitDiagnostics(
-        n=n,
         samples=samples,
         holdout_samples=holdout_samples,
         features=("1", *(f"M_{k}" for k in range(1, n // 2)), "tau"),

@@ -28,10 +28,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .purity import _BLOCK_AMPS, subset_purities
+from .purity import subset_purities
 from .states import QState
 
 IMAG_TOL = 1e-10
+
+# Amplitudes per block of flip masks; larger blocks raised the n = 12,
+# k <= 2 peak RSS (by 2.0 MB at 2^14, 6.7 MB at 2^16).
+_BLOCK_AMPS = 1 << 12
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 

@@ -10,8 +10,9 @@ in one pass; pi_ME and every weight sum M_k are linear in that table.
 Every cut purity comes from the matrices of the cuts of h = ceil(n/2)
 qubits that contain qubit 1, gathered from amplitudes with any leading axes
 in the blocks of ``_cut_indices``, through the per-cut offsets of
-``_plan(n)``, the one cached cut structure per n.  This module is the only
-one that reads that layout.
+``_plan(n)``, the one cached cut structure per n, or through the index of
+``_one_block(n)`` when all cuts fit one block.  This module is the only one
+that reads that layout.
 
 The smaller marginals follow the run rule.  A cut whose leading run is
 1..j (it holds qubits 1..j, not j + 1) owns A - D for each nonempty D within
@@ -65,8 +66,8 @@ def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
     return min(max(purity, 0.0), 1.0)
 
 
-# Gathered amplitudes per block of cuts (and of flip masks in ``pauli``);
-# larger blocks made the n = 12 table slower and raised its peak RSS.
+# Gathered amplitudes per block of cuts; larger blocks made the n = 12
+# table slower and raised its peak RSS.
 _BLOCK_AMPS = 1 << 12
 
 
@@ -83,19 +84,13 @@ class _Plan(NamedTuple):
     each nonempty D within 1..j, leaving out the empty A - A of the cut
     1..h.  Those are exactly the subsets whose first cut containing them is
     A, so the cuts and what they own cover each subset that lies in a cut
-    once; every other subset takes its complement's value, P(A) = P(A^c)."""
+    once; every other subset takes its complement's value, P(A) = P(A^c).
+    Nothing in it depends on the block size."""
 
     # Cut c's 2^h x 2^(n - h) matrix has the flat amplitude indices
     # ``rows[c][:, None] | cols[c]``; its mask is ``rows[c, -1]``.
     rows: np.ndarray
     cols: np.ndarray
-    # Only when every cut fits one block of ``_cut_indices`` (cuts * 2^n <=
-    # ``_BLOCK_AMPS``, n <= 7), else None: every cut's flat indices at once,
-    # and their inverse.  With the cut stack flattened,
-    # ``stack.take(inverse, axis=-1)[..., c, :]`` puts cut c's entries back
-    # in amplitude order.
-    index: np.ndarray | None
-    inverse: np.ndarray | None
     # (start, stop, j) of each group of consecutive cuts whose run is 1..j;
     # lexicographic order lists them by descending j, from j = h
     runs: tuple[tuple[int, int, int], ...]
@@ -124,29 +119,39 @@ def _plan(n: int) -> _Plan:
     complements = np.flatnonzero(~held[:-1])
     top = np.arange((1 << n) - 1, -1, -1)  # masks of one size descend lexicographically
     balanced = top[np.bitwise_count(top) == n // 2]
-    index = inverse = None
-    if len(rows) << n <= _BLOCK_AMPS:
-        index = rows[:, :, None] | cols[:, None, :]
-        flat = index.reshape(len(rows), -1)
-        cuts = np.arange(len(rows))[:, None]
-        # an assignment, not an argsort: the first sort in a process costs ~1 MB
-        inverse = np.empty_like(flat)
-        inverse[cuts, flat] = cuts * flat.shape[1] + np.arange(flat.shape[1])
-    for part in (rows, cols, index, inverse, complements, balanced):
-        if part is not None:
-            part.setflags(write=False)
-    return _Plan(rows, cols, index, inverse, runs, complements, balanced)
+    for part in (rows, cols, complements, balanced):
+        part.setflags(write=False)
+    return _Plan(rows, cols, runs, complements, balanced)
+
+
+@lru_cache(maxsize=None)
+def _one_block(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cut's flat indices at once, of shape (cuts, 2^h, 2^(n - h)),
+    and their inverse: with the cut stack flattened,
+    ``stack.take(inverse, axis=-1)[..., c, :]`` puts cut c's entries back in
+    amplitude order.  Built on first use, which is when every cut fits one
+    block of ``_cut_indices``."""
+    plan = _plan(n)
+    index = plan.rows[:, :, None] | plan.cols[:, None, :]
+    flat = index.reshape(len(plan.rows), -1)
+    cuts = np.arange(len(plan.rows))[:, None]
+    # an assignment, not an argsort: the first sort in a process costs ~1 MB
+    inverse = np.empty_like(flat)
+    inverse[cuts, flat] = cuts * flat.shape[1] + np.arange(flat.shape[1])
+    for part in (index, inverse):
+        part.setflags(write=False)
+    return index, inverse
 
 
 def _cut_indices(amps: np.ndarray, plan: _Plan, lo: int, hi: int):
     """The flat amplitude indices of the cuts lo..hi - 1 of ``plan``, in
     blocks that gather about ``_BLOCK_AMPS`` amplitudes from ``amps``, of
     shape (..., 2^n), over all its leading axes together; when every cut
-    fits one block (cuts * amps.size <= ``_BLOCK_AMPS``) it is the plan's
-    one-block index."""
+    fits one block (cuts * amps.size <= ``_BLOCK_AMPS``) it is the
+    one-block index of ``_one_block(n)``."""
     rows, cols = plan.rows, plan.cols
     if len(rows) * amps.size <= _BLOCK_AMPS:
-        return [plan.index[lo:hi]]
+        return [_one_block(amps.shape[-1].bit_length() - 1)[0][lo:hi]]
     step = max(1, _BLOCK_AMPS // amps.size)
     starts = range(lo, hi, step)
     return (rows[a:b, :, None] | cols[a:b, None, :] for a, b in zip(starts, [*starts[1:], hi]))
@@ -168,9 +173,9 @@ def _mean_purity_and_grad(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The cuts holding qubit 1 suffice, since ||M M^H||_F = ||M^H M||_F.  Per
     cut matrix M, the derivative of ||M M^H||_F^2 with respect to conj(M) is
     2 G M for G = M M^H, so the gradient is 4 G M averaged over the cuts and
-    put back in flat index order: by a gather through the plan's inverse
-    when every cut fits one block (n <= 6), else by a scatter.  The value is
-    read off the sum, since <M, G M> = tr(G M M^H) = ||G||_F^2.
+    put back in flat index order: by a gather through ``_one_block(n)``'s
+    inverse when every cut fits one block (n <= 6), else by a scatter.  The
+    value is read off the sum, since <M, G M> = tr(G M M^H) = ||G||_F^2.
     """
     lead = amps.shape[:-1]
     n = amps.shape[-1].bit_length() - 1
@@ -181,7 +186,7 @@ def _mean_purity_and_grad(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mats = amps.take(idx, axis=-1)
         prod = (mats @ mats.conj().swapaxes(-1, -2) @ mats).reshape(*lead, -1)  # G M per cut
         if len(idx) == count:  # one block: a gather through the cached inverse
-            grad += prod.take(plan.inverse, axis=-1).sum(axis=-2)
+            grad += prod.take(_one_block(n)[1], axis=-1).sum(axis=-2)
         else:  # cut c scattered into row c of its own 2^n amplitudes
             scattered = np.empty_like(prod)
             scattered[..., (idx + (np.arange(len(idx)) << n)[:, None, None]).ravel()] = prod

@@ -8,6 +8,7 @@ purity block is read straight off the state's subset-purity table
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -110,20 +111,7 @@ def verification_dict(summary: VerificationSummary) -> dict[str, Any]:
 
 
 def fit_dict(model: DecompositionModel, diag: FitDiagnostics) -> dict[str, Any]:
-    return {
-        "model": model_dict(model),
-        "samples": diag.samples,
-        "holdout_samples": diag.holdout_samples,
-        "features": list(diag.features),
-        "raw_coefficients": list(diag.raw_coefficients),
-        "singular_values": list(diag.singular_values),
-        "rank": diag.rank,
-        "null_space_dim": diag.null_space_dim,
-        "training_max_residual": diag.training_max_residual,
-        "holdout_max_residual": diag.holdout_max_residual,
-        "holdout_max_residual_snapped": diag.holdout_max_residual_snapped,
-        "snapped": diag.snapped,
-    }
+    return {"model": model_dict(model), **dataclasses.asdict(diag)}
 
 
 def audit_dict(rows: Sequence[AuditRow]) -> dict[str, Any]:

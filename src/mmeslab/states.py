@@ -80,6 +80,8 @@ def _normalized(n: int, amps: np.ndarray, meta: Mapping | None = None) -> QState
 def make_basis_state(n: int, index: int) -> QState:
     """Computational basis state |index> on n qubits."""
     check_qubit_count(n)
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise StateError(f"basis index must be an int, got {index!r}")
     if not 0 <= index < (1 << n):
         raise StateError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(1 << n, dtype=np.complex128)

@@ -208,16 +208,40 @@ def test_plan_owner_is_the_first_cut_that_contains_it(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_plan_one_block_index_exists_exactly_when_cuts_fit_one_block(n):
+    # one state gathers every cut through the index of _one_block(n) exactly
+    # when its cuts fit one block (n <= 7 by default); at n <= 8 that index
+    # stacks the per-cut indices, and its inverse round-trips
     plan = purity._plan(n)
     cuts = len(plan.rows)
-    assert (plan.index is not None) == (cuts << n <= purity._BLOCK_AMPS)
-    assert (plan.inverse is not None) == (plan.index is not None)
-    if plan.index is None:
+    blocks = list(purity._cut_indices(np.zeros(1 << n), plan, 0, cuts))
+    if cuts << n <= purity._BLOCK_AMPS:
+        assert len(blocks) == 1 and np.shares_memory(blocks[0], purity._one_block(n)[0])
+    else:
+        assert len(blocks) > 1
+    if n > 8:
         return
-    np.testing.assert_array_equal(plan.index, plan.rows[:, :, None] | plan.cols[:, None, :])
-    stack = np.arange(cuts)[:, None] * (1 << n) + plan.index.reshape(cuts, -1)
-    back = stack.ravel().take(plan.inverse)
+    index, inverse = purity._one_block(n)
+    np.testing.assert_array_equal(
+        index, [row[:, None] | col[None, :] for row, col in zip(plan.rows, plan.cols)]
+    )
+    stack = np.arange(cuts)[:, None] * (1 << n) + index.reshape(cuts, -1)
+    back = stack.ravel().take(inverse)
     np.testing.assert_array_equal(back, np.arange(cuts)[:, None] * (1 << n) + np.arange(1 << n))
+
+
+def test_plan_does_not_depend_on_the_block_size(monkeypatch):
+    # the plan holds n's cuts and nothing sized by the block; the one-block
+    # index is cached apart, per n, and built whenever a block first needs it
+    state = random_state(8, 8)
+    purity._plan(8)  # built at the default block size, where n = 8 takes no one-block index
+    table = subset_purities(state)
+    value, grad = purity._mean_purity_and_grad(state.amplitudes)
+    monkeypatch.setattr(purity, "_BLOCK_AMPS", 1 << 14)  # all 35 n = 8 cuts fit one block
+    np.testing.assert_array_equal(subset_purities(state), table)
+    big_value, big_grad = purity._mean_purity_and_grad(state.amplitudes)
+    assert big_value == pytest.approx(value, abs=1e-15)
+    np.testing.assert_allclose(big_grad, grad, rtol=0, atol=1e-15)
+    assert purity._Plan._fields == ("rows", "cols", "runs", "complements", "balanced")
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -226,7 +250,6 @@ def test_plan_builds_beyond_n12(n):
     h = (n + 1) // 2
     assert plan.rows.shape == (comb(n - 1, h - 1), 1 << h)
     assert plan.cols.shape == (comb(n - 1, h - 1), 1 << (n - h))
-    assert plan.index is plan.inverse is None
     # h runs, j = h down to 1, of the cuts that hold 1..j, not j + 1 and
     # h - j of the n - j - 1 later qubits
     runs = [(stop - start, run) for start, stop, run in plan.runs]

@@ -116,16 +116,15 @@ def test_block_boundaries_do_not_matter(n, monkeypatch):
 
 def _takes_one_block_index(n, rows):
     """Whether ``rows`` stacked n-qubit vectors gather every cut through the
-    plan's one-block index, the path of the objective's inverse gather."""
+    index of ``purity._one_block(n)``, the path of the objective's inverse
+    gather."""
     plan = purity._plan(n)
     blocks = list(purity._cut_indices(np.zeros((rows, 1 << n)), plan, 0, len(plan.rows)))
-    return len(blocks) == 1 and plan.index is not None and np.shares_memory(blocks[0], plan.index)
+    return len(blocks) == 1 and np.shares_memory(blocks[0], purity._one_block(n)[0])
 
 
 @pytest.mark.parametrize("block_amps", [None, 1 << 10])
 def test_one_block_rows_is_the_widest_one_block_stack(block_amps, monkeypatch):
-    for n in range(2, 13, 2):
-        purity._plan(n)  # built at the default block size, as in any process
     if block_amps is not None:
         monkeypatch.setattr(purity, "_BLOCK_AMPS", block_amps)
     widths = {n: purity._one_block_rows(n) for n in range(2, 13, 2)}
@@ -139,10 +138,25 @@ def test_one_block_rows_is_the_widest_one_block_stack(block_amps, monkeypatch):
         assert not _takes_one_block_index(n, 1)
 
 
+def test_one_block_gather_does_not_depend_on_the_first_block_size(monkeypatch):
+    # plans first built under a smaller block still take the one-block
+    # gather once the default block is back, and it agrees with the scatter
+    purity._plan.cache_clear()
+    purity._one_block.cache_clear()
+    amps = {n: random_state(n, 30 + n).amplitudes for n in (4, 6)}
+    with monkeypatch.context() as patch:
+        patch.setattr(purity, "_BLOCK_AMPS", 1 << 4)  # one cut per block
+        scattered = {n: _mean_purity_and_grad(amps[n]) for n in (4, 6)}
+    for n in (4, 6):
+        assert _takes_one_block_index(n, purity._one_block_rows(n))
+        value, grad = _mean_purity_and_grad(amps[n])
+        assert value == pytest.approx(scattered[n][0], abs=1e-15)
+        np.testing.assert_allclose(grad, scattered[n][1], rtol=0, atol=1e-15)
+
+
 def test_restart_groups_follow_the_block_size_of_purity(monkeypatch):
     # search reads the width from purity, so patching purity's block size
     # regroups the restarts
-    purity._plan(4)
     monkeypatch.setattr(purity, "_BLOCK_AMPS", 1 << 10)  # n = 4: 21 rows per block
     widths = []
     run = search._run_restarts

@@ -48,6 +48,19 @@ def test_basis_state_index_out_of_range():
         make_basis_state(3, -1)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.5, 2.0, "1", None])
+def test_basis_state_index_must_be_an_int(index):
+    # a bool indexed the amplitudes as a mask, and a float raised IndexError
+    with pytest.raises(StateError, match="basis index must be an int"):
+        make_basis_state(3, index)
+
+
+def test_basis_state_takes_numpy_ints():
+    for index in (np.int64(5), np.uint8(5)):
+        s = make_basis_state(3, index)
+        assert s.amplitudes[5] == 1.0 and np.count_nonzero(s.amplitudes) == 1
+
+
 def test_ghz():
     bell = make_ghz(2)
     np.testing.assert_allclose(
