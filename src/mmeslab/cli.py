@@ -3,7 +3,10 @@
 One structured mmeslab-report-v1 document goes to stdout; human-readable
 tables go to stderr under --pretty.  Exit codes: 0 success (errata found by
 ``invariants`` are data, not failures), 1 verification failure, 2 bad
-arguments or malformed input.
+arguments or malformed input.  Each ``_cmd_*`` handler returns its inputs,
+results, errata, --pretty lines and exit code; ``main`` alone writes the
+document and the tables, and turns every ValueError or OSError into one
+``error: ...`` line on stderr, no document, and exit 2.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import reports
 from .decomposition import (
@@ -85,24 +88,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, pretty_lines: Sequence[str], pretty: bool) -> None:
-    print(reports.dumps(doc))
-    if pretty:
-        for line in pretty_lines:
-            print(line, file=sys.stderr)
+class _Report(NamedTuple):
+    """A command's document parts, --pretty lines and exit code."""
+
+    inputs: dict
+    results: dict
+    lines: list[str]
+    errata: Sequence[str] = ()
+    code: int = EXIT_OK
 
 
-def _cmd_state(args, argv) -> int:
+def _cmd_state(args) -> _Report:
     kind = args.kind
     if kind == "psi_m8":
         if args.n not in (None, 8):
-            print("psi_m8 fixes n=8", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("psi_m8 fixes n=8")
         state = make_psi_m8()
     else:
         if args.n is None:
-            print(f"--n is required for --kind {kind}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError(f"--n is required for --kind {kind}")
         maker = {
             "basis": lambda: make_basis_state(args.n, args.index),
             "ghz": lambda: make_ghz(args.n),
@@ -117,29 +121,20 @@ def _cmd_state(args, argv) -> int:
             "state was normalized before writing",
             file=sys.stderr,
         )
-    doc = reports.report_document(
-        argv,
+    return _Report(
         inputs={"kind": kind, "n": state.n, "seed": args.seed, "out": args.out},
         results={"written": args.out, "n": state.n, **dict(state.meta)},
+        lines=[f"wrote {args.out} ({state.dim} amplitudes)"],
     )
-    _emit(doc, [f"wrote {args.out} ({state.dim} amplitudes)"], args.pretty)
-    return EXIT_OK
 
 
-def _cmd_invariants(args, argv) -> int:
+def _cmd_invariants(args) -> _Report:
     state = load_state(args.in_path)
     max_weight = min(4, state.n) if args.max_weight is None else args.max_weight
     if not 1 <= max_weight <= state.n:
-        print(f"--max-weight must be in [1, {state.n}]", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--max-weight must be in [1, {state.n}]")
     results, errata = reports.invariants_results(
         state, max_weight, with_purity=not args.no_purity
-    )
-    doc = reports.report_document(
-        argv,
-        inputs={"state_file": args.in_path, "max_weight": max_weight},
-        results=results,
-        errata_flags=errata,
     )
     lines = [f"n={state.n}  M_k={results['weight_sums']['m']}"]
     if "n_tangle" in results:
@@ -147,42 +142,34 @@ def _cmd_invariants(args, argv) -> int:
     if "purity" in results:
         lines.append(f"pi_ME={results['purity']['pi_me_mean']}")
     lines.extend(f"ERRATA: {flag}" for flag in errata)
-    _emit(doc, lines, args.pretty)
-    return EXIT_OK
+    return _Report({"state_file": args.in_path, "max_weight": max_weight}, results, lines, errata)
 
 
-def _cmd_verify(args, argv) -> int:
+def _cmd_verify(args) -> _Report:
     summary = verify_identity(args.n, args.samples, args.seed, args.tol)
-    doc = reports.report_document(
-        argv,
+    return _Report(
         inputs={"n": args.n, "samples": args.samples, "seed": args.seed, "tol": args.tol},
         results=reports.verification_dict(summary),
-        errata_flags=[]
+        lines=[
+            f"{'PASS' if summary.passed else 'FAIL'}  n={args.n}  "
+            f"max|residual|={summary.max_abs_residual}"
+        ],
+        errata=[]
         if summary.passed
         else [
             f"printed n={args.n} model fails at tol {args.tol}: "
             f"max residual {summary.max_abs_residual!r}"
         ],
+        code=EXIT_OK if summary.passed else EXIT_VERIFY_FAIL,
     )
-    lines = [
-        f"{'PASS' if summary.passed else 'FAIL'}  n={args.n}  "
-        f"max|residual|={summary.max_abs_residual}"
-    ]
-    _emit(doc, lines, args.pretty)
-    return EXIT_OK if summary.passed else EXIT_VERIFY_FAIL
 
 
 def _coeff_text(c: Fraction | float) -> str:
     return str(c) if isinstance(c, Fraction) else f"{c:.12g}"
 
 
-def _cmd_fit(args, argv) -> int:
+def _cmd_fit(args) -> _Report:
     model, diag = fit_coefficients(args.n, args.samples, args.seed)
-    doc = reports.report_document(
-        argv,
-        inputs={"n": args.n, "samples": args.samples, "seed": args.seed},
-        results=reports.fit_dict(model, diag),
-    )
     lines = [
         f"fitted n={args.n}: holdout max residual {diag.holdout_max_residual}, "
         f"rank {diag.rank}/{len(diag.features)}, snapped={diag.snapped}",
@@ -198,47 +185,42 @@ def _cmd_fit(args, argv) -> int:
         cells = " ".join(f"{_coeff_text(c):>12}" for c in row)
         marker = "   <- printed differs from derived" if row[0] != row[1] else ""
         lines.append(f"{name:<12} {cells}{marker}")
-    _emit(doc, lines, args.pretty)
-    return EXIT_OK
+    return _Report(
+        inputs={"n": args.n, "samples": args.samples, "seed": args.seed},
+        results=reports.fit_dict(model, diag),
+        lines=lines,
+    )
 
 
-def _cmd_search(args, argv) -> int:
+def _cmd_search(args) -> _Report:
     config = SearchConfig(
         n=args.n, restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
     )
     if args.n == 12:
         print("note: n=12 search is slow", file=sys.stderr)
     result = minimize_average_purity(config)
-    doc = reports.report_document(
-        argv,
-        inputs={
-            "n": args.n,
-            "restarts": args.restarts,
-            "max_iters": args.max_iters,
-            "seed": args.seed,
-        },
-        results=reports.search_dict(result),
-    )
+    results = reports.search_dict(result)
     constant = float(printed_model(args.n).constant)
     gap = result.best_value - constant
     lines = [
         f"best pi_ME = {result.best_value}  (printed constant C = {constant}, gap to C = {gap})",
-        f"n-tangle of best state = {doc['results']['best_n_tangle']}",
+        f"n-tangle of best state = {results['best_n_tangle']}",
     ]
-    _emit(doc, lines, args.pretty)
-    return EXIT_OK
+    inputs = {
+        "n": args.n,
+        "restarts": args.restarts,
+        "max_iters": args.max_iters,
+        "seed": args.seed,
+    }
+    return _Report(inputs, results, lines)
 
 
-def _cmd_audit(args, argv) -> int:
+def _cmd_audit(args) -> _Report:
     rows = conjecture_audit()
-    doc = reports.report_document(
-        argv, inputs={}, results=reports.audit_dict(rows), errata_flags=known_errata()
-    )
     lines = ["  n  C            required tau at K=0"]
     for row in rows:
         lines.append(f" {row.n:>2}  {str(row.constant):<11}  {row.required_tau}")
-    _emit(doc, lines, args.pretty)
-    return EXIT_OK
+    return _Report({}, reports.audit_dict(rows), lines, known_errata())
 
 
 _HANDLERS = {
@@ -255,10 +237,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, argv)
+        report = _HANDLERS[args.command](args)
+        doc = reports.report_document(argv, report.inputs, report.results, report.errata)
+        print(reports.dumps(doc))
+        if args.pretty:
+            for line in report.lines:
+                print(line, file=sys.stderr)
     except (ValueError, OSError) as exc:  # StateError and SearchError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return report.code
 
 
 if __name__ == "__main__":

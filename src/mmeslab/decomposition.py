@@ -45,6 +45,11 @@ class ModelError(ValueError):
     """Unsupported model request or mismatched operands."""
 
 
+def _is_int(n) -> bool:
+    # a float or bool equal to an int would otherwise pass as that int
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class DecompositionModel:
     """pi_ME = C + K with K = sum_k wc[k] * M_k + tau_coeff * tau + tau_offset.
@@ -61,8 +66,8 @@ class DecompositionModel:
     provenance: str  # "printed" | "derived" | "fitted"
 
     def __post_init__(self):
-        if self.n % 2 or self.n < 2:
-            raise ModelError(f"models are defined for even n >= 2, got {self.n}")
+        if not _is_int(self.n) or self.n % 2 or self.n < 2:
+            raise ModelError(f"models are defined for even n >= 2, got {self.n!r}")
         if len(self.weight_coeffs) != self.n // 2 - 1:
             raise ModelError(
                 f"expected {self.n // 2 - 1} weight coefficients, got "
@@ -172,13 +177,12 @@ _PRINTED: dict[int, DecompositionModel] = {
 
 def printed_model(n: int) -> DecompositionModel:
     """The published model for n in {2, 4, 6, 8, 10, 12}, coefficients verbatim."""
-    try:
-        return _PRINTED[n]
-    except KeyError:
-        raise ModelError(f"no printed model for n={n}; supported: {SUPPORTED_N}")
+    if not _is_int(n) or n not in _PRINTED:
+        raise ModelError(f"no printed model for n={n!r}; supported: {SUPPORTED_N}")
+    return _PRINTED[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must miss the entry for 4
 def derived_model(n: int) -> DecompositionModel:
     """The exact model for any even n >= 2: ``size_weights`` = (0, ..., 0, 1).
 
@@ -189,8 +193,8 @@ def derived_model(n: int) -> DecompositionModel:
     (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.  Cached: the
     model is frozen and depends on n alone.
     """
-    if n % 2 or n < 2:
-        raise ModelError(f"models are defined for even n >= 2, got {n}")
+    if not _is_int(n) or n % 2 or n < 2:
+        raise ModelError(f"models are defined for even n >= 2, got {n!r}")
     half = n // 2
     tau_coeff = Fraction((-1) ** half, comb(n, half))
     model = DecompositionModel(n, 0, (Fraction(0),) * (half - 1), tau_coeff, 0, "derived")

@@ -151,6 +151,36 @@ def test_invariants_explicit_max_weight_above_n_exits_2(tmp_path, capsys):
     assert "--max-weight must be in [1, 3]" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["state", "--kind", "psi_m8", "--n", "4", "--out", "x.json"], "psi_m8 fixes n=8"),
+        (["state", "--kind", "ghz", "--out", "x.json"], "--n is required for --kind ghz"),
+        (["invariants", "--in", "g3.json", "--max-weight", "5"], "--max-weight must be in [1, 3]"),
+        (["invariants", "--in", "missing.json"], "missing.json"),
+        (["invariants", "--in", "bad.json"], "bad.json"),
+        (["verify", "--n", "14", "--samples", "2"], "n=14"),
+        (["search", "--n", "2", "--seed", "-1"], "seed -1 "),
+        (["state", "--kind", "random", "--n", "40", "--out", "x.json"], "qubit count"),
+    ],
+    ids=[
+        "psi_m8-n4", "ghz-no-n", "max-weight-5", "missing", "malformed",
+        "verify-14", "seed-1", "n40",
+    ],
+)
+def test_every_usage_error_is_one_error_line(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    main(["state", "--kind", "ghz", "--n", "3", "--out", "g3.json"])
+    (tmp_path / "bad.json").write_text("{broken")
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("error: ") and named in captured.err, captured.err
+
+
 def test_invariants_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import inf, nan
@@ -310,6 +311,24 @@ def test_derived_model_n14():
 def test_derived_model_rejects_odd_or_small_n(n):
     with pytest.raises(ModelError):
         derived_model(n)
+
+
+def _model_of(n):
+    return decomposition.DecompositionModel(n, 0, (0,), 0, 0, "fitted")
+
+
+@pytest.mark.parametrize("make", [derived_model, printed_model, _model_of])
+@pytest.mark.parametrize("n", [4.0, np.float64(4), "4", True])
+def test_models_refuse_an_n_that_is_not_an_int(make, n):
+    make(4)  # an equal int already cached must not answer for the float
+    with pytest.raises(ModelError, match=re.escape(repr(n))):
+        make(n)
+
+
+@pytest.mark.parametrize("make", [derived_model, printed_model, _model_of])
+def test_models_take_a_numpy_int_n(make):
+    assert make(np.int64(4)) == make(4)
+    assert make(np.int64(4)).size_weights() == make(4).size_weights()
 
 
 def test_conjecture_audit_rows():
