@@ -27,6 +27,7 @@ from .decomposition import (
 )
 from .search import SearchConfig, minimize_average_purity
 from .states import (
+    check_seed,
     load_state,
     make_basis_state,
     make_ghz,
@@ -100,6 +101,7 @@ class _Report(NamedTuple):
 
 def _cmd_state(args) -> _Report:
     kind = args.kind
+    check_seed(args.seed)  # every kind reports its seed
     if kind == "psi_m8":
         if args.n not in (None, 8):
             raise ValueError("psi_m8 fixes n=8")

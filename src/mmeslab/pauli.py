@@ -14,9 +14,9 @@ For a flip mask f, the products b_f[i] = conj(a[i ^ f]) * a[i] are shared by
 all 2^n phase masks z, so one Walsh-Hadamard transform of b_f gives every
 <P_{f,z}>; binning <P>^2 by the weight popcount(f | z) gives the M_k.  Up
 to weight k_max, f needs only the z with popcount(z & ~f) <= k_max -
-popcount(f), so each transform is restricted to those rows and columns of
-its two Hadamard factors (``_flip_groups``).  ``f_invariant`` is the
-per-string reference path for that transform.
+popcount(f), so every transform, at every n and k_max, is restricted to
+those rows and columns of its two Hadamard factors (``_flip_groups``).
+``f_invariant`` is the per-string reference path for that transform.
 """
 from __future__ import annotations
 
@@ -139,15 +139,14 @@ class _FlipGroup:
     """Flip masks transformed alike by ``_weight_enumerator``.
 
     Flip mask ``flips[j]`` is transformed onto the phase masks whose hi part
-    is in ``rows[hi_part[j]]`` and whose lo part is in ``cols[lo_part[j]]``;
-    ``rows`` None means onto all 2^n phase masks.
+    is in ``rows[hi_part[j]]`` and whose lo part is in ``cols[lo_part[j]]``.
     """
 
     flips: np.ndarray
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    hi_part: np.ndarray | None = None
-    lo_part: np.ndarray | None = None
+    rows: np.ndarray
+    cols: np.ndarray
+    hi_part: np.ndarray
+    lo_part: np.ndarray
 
 
 def _kept(parts: np.ndarray, bits: int, spare: int) -> np.ndarray:
@@ -159,9 +158,8 @@ def _kept(parts: np.ndarray, bits: int, spare: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _flip_groups(n: int, k_max: int, per_block: int) -> tuple[_FlipGroup, ...]:
-    """The flip masks with popcount <= k_max, grouped for ``_weight_enumerator``
-    to transform ``per_block`` at a time.
+def _flip_groups(n: int, k_max: int) -> tuple[_FlipGroup, ...]:
+    """The flip masks with popcount <= k_max, grouped for ``_weight_enumerator``.
 
     A string with flip mask f = (f_hi, f_lo) and phase mask z = (z_hi, z_lo)
     has weight popcount(f) + popcount(z_hi & ~f_hi) + popcount(z_lo & ~f_lo),
@@ -169,18 +167,12 @@ def _flip_groups(n: int, k_max: int, per_block: int) -> tuple[_FlipGroup, ...]:
     that have popcount(z & ~f) <= k_max - popcount(f) on their side.  Flip
     masks whose hi and lo parts have the same popcounts keep equally many
     rows and columns, and form one group, which lists the selection of each
-    distinct part once.  Each group costs at least one block, so a group
-    with fewer than ``per_block`` flip masks, or one that would keep more
-    than half of the 2^n phase masks, joins the first group instead: that
-    one transforms onto all of them in flip-mask order.  So k_max = n, and
-    n <= 7 with the default block size, run the full transform only.  Built
-    without sort-based numpy calls: the first one in a process costs ~1 MB of
-    RSS.
+    distinct part once.  Built without sort-based numpy calls: the first one
+    in a process costs ~1 MB of RSS.
     """
     hi, lo = (n + 1) // 2, n // 2
     parts_hi, parts_lo = _indices(hi), _indices(lo)
-    complete = np.zeros(1 << n, dtype=bool)
-    restricted = []
+    groups = []
     for w_hi in range(min(hi, k_max) + 1):
         f_hi = parts_hi[np.bitwise_count(parts_hi) == w_hi]
         for w_lo in range(min(lo, k_max - w_hi) + 1):
@@ -188,13 +180,9 @@ def _flip_groups(n: int, k_max: int, per_block: int) -> tuple[_FlipGroup, ...]:
             flips = ((f_hi[:, None] << lo) | f_lo).ravel()
             spare = k_max - w_hi - w_lo
             rows, cols = _kept(f_hi, hi, spare), _kept(f_lo, lo, spare)
-            if flips.size < per_block or 2 * rows.shape[1] * cols.shape[1] > 1 << n:
-                complete[flips] = True
-            else:
-                hi_part, lo_part = np.divmod(np.arange(flips.size), f_lo.size)
-                restricted.append(_FlipGroup(flips, rows, cols, hi_part, lo_part))
-    first = [_FlipGroup(_indices(n)[complete])] if complete.any() else []
-    return tuple(first + restricted)
+            hi_part, lo_part = np.divmod(np.arange(flips.size), f_lo.size)
+            groups.append(_FlipGroup(flips, rows, cols, hi_part, lo_part))
+    return tuple(groups)
 
 
 def _weight_enumerator(state: QState, k_max: int) -> np.ndarray:
@@ -206,10 +194,10 @@ def _weight_enumerator(state: QState, k_max: int) -> np.ndarray:
     is done as two small real matmuls on b_f as a 2^hi x 2^lo matrix (hi =
     ceil(n/2) leading bits of i): ``_hadamard(hi)`` on the left and
     ``_hadamard(lo)`` on the right.  Only flip masks with popcount(f) <=
-    k_max can reach weight k_max, and only the Hadamard rows and columns that
-    ``_flip_groups`` keeps for f are multiplied.  Flip masks are transformed
-    in blocks of at most ``_BLOCK_AMPS`` amplitudes, and strings formed
-    beyond weight k_max are dropped when binning.
+    k_max can reach weight k_max, and at every n and k_max only the Hadamard
+    rows and columns that ``_flip_groups`` keeps for f are multiplied.  Flip
+    masks are transformed in blocks of at most ``_BLOCK_AMPS`` amplitudes,
+    and strings formed beyond weight k_max are dropped when binning.
     """
     n = state.n
     a = state.amplitudes
@@ -220,18 +208,15 @@ def _weight_enumerator(state: QState, k_max: int) -> np.ndarray:
     per_block = max(1, _BLOCK_AMPS >> n)
     sums = np.zeros(n + 1)
     worst_imag = 0.0
-    for group in _flip_groups(n, k_max, per_block):
+    for group in _flip_groups(n, k_max):
         for start in range(0, group.flips.size, per_block):
             block = slice(start, start + per_block)
             f = group.flips[block, None]
             b = conj_a.take(idx ^ f) * a
             parts = np.array((b.real, b.imag)).reshape(2, f.size, 1 << hi, 1 << lo)
-            if group.rows is None:
-                z, h = idx, h_hi @ parts @ h_lo
-            else:
-                rows, cols = group.rows[group.hi_part[block]], group.cols[group.lo_part[block]]
-                z = ((rows << lo)[:, :, None] | cols[:, None, :]).reshape(f.size, -1)
-                h = h_hi[rows] @ parts @ h_lo[cols].swapaxes(1, 2)
+            rows, cols = group.rows[group.hi_part[block]], group.cols[group.lo_part[block]]
+            z = ((rows << lo)[:, :, None] | cols[:, None, :]).reshape(f.size, -1)
+            h = h_hi[rows] @ parts @ h_lo[cols].swapaxes(1, 2)
             h_re, h_im = h.reshape(2, f.size, -1)
             # i^{n_y} with n_y odd swaps the real and imaginary parts (up to sign)
             odd = (np.bitwise_count(f & z) & 1).astype(bool)

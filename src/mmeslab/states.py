@@ -19,6 +19,7 @@ import numpy as np
 
 NORM_TOL = 1e-12
 LOAD_NORM_TOL = 1e-6
+_UNITARY_TOL = 1e-10
 MAX_QUBITS = 16
 SEED_LIMIT = 1 << 64
 
@@ -200,10 +201,17 @@ def permute_qubits(state: QState, perm: Sequence[int]) -> QState:
 
 
 def apply_single_qubit_unitary(state: QState, qubit: int, u: np.ndarray) -> QState:
-    """Apply a 2x2 unitary to one qubit (1-based position)."""
-    if not 1 <= qubit <= state.n:
-        raise StateError(f"qubit {qubit} out of range for n={state.n}")
+    """Apply a 2x2 unitary to one qubit (1-based position): a StateError unless
+    ``qubit`` is an int in [1, n] and ``u`` is finite, 2x2 and unitary to
+    within _UNITARY_TOL in every entry of u^dagger u (a projector is refused)."""
+    is_int = isinstance(qubit, (int, np.integer)) and not isinstance(qubit, bool)
+    if not (is_int and 1 <= qubit <= state.n):
+        raise StateError(f"qubit must be an int in [1, {state.n}], got {qubit!r}")
+    qubit = int(qubit)  # a numpy uint8 would wrap in the shifts below
     u = np.asarray(u, dtype=np.complex128)
+    finite = u.shape == (2, 2) and np.isfinite(u).all()
+    if not (finite and np.abs(u.conj().T @ u - np.eye(2)).max() <= _UNITARY_TOL):
+        raise StateError(f"u must be a finite 2x2 unitary within {_UNITARY_TOL}: {u.tolist()!r}")
     left = 1 << (qubit - 1)
     right = 1 << (state.n - qubit)
     ten = state.amplitudes.reshape(left, 2, right)

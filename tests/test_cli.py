@@ -370,6 +370,20 @@ def test_seed_out_of_range(tmp_path, monkeypatch, capsys, argv, seed):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64])
+@pytest.mark.parametrize("kind", ["ghz", "w", "basis", "psi_m8"])
+def test_state_checks_the_seed_for_every_kind(tmp_path, capsys, kind, seed):
+    # kinds that draw nothing still write the seed into the report's inputs
+    out = tmp_path / "s.json"
+    size = [] if kind == "psi_m8" else ["--n", "2"]
+    code = main(["state", "--kind", kind, *size, "--seed", str(seed), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: seed {seed} ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_audit_command(capsys):
     code, doc, _ = run(capsys, "audit")
     assert code == 0

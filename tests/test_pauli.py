@@ -122,8 +122,8 @@ def _f_invariant_sums(n):
 def test_enumeration_matches_f_invariant_reference(monkeypatch, n, k_max, one_flip_blocks):
     # the one-transform kernel against the per-string reference, weight by
     # weight; at n = 5 the hi and lo halves of the index differ in size.
-    # Default blocks run the full transform at these n; blocks of one flip
-    # mask restrict every group that keeps at most half of the phase masks.
+    # Default blocks hold a whole flip group at these n; blocks of one flip
+    # mask split every group into one transform per flip mask.
     if one_flip_blocks:
         monkeypatch.setattr(pauli, "_BLOCK_AMPS", 1)
     for state, reference in zip(_reference_states(n), _f_invariant_sums(n)):
@@ -134,44 +134,49 @@ def test_enumeration_matches_f_invariant_reference(monkeypatch, n, k_max, one_fl
 @pytest.mark.parametrize("n", range(1, 9))
 def test_flip_groups_form_every_reachable_string_once(n):
     for k_max in range(1, n + 1):
-        for per_block in (1, max(1, pauli._BLOCK_AMPS >> n)):
-            formed = set()
-            for group in pauli._flip_groups(n, k_max, per_block):
-                if group.rows is None:
-                    zs = [range(1 << n)] * group.flips.size
-                else:
-                    assert group.flips.size >= per_block
-                    rows, cols = group.rows.tolist(), group.cols.tolist()
-                    zs = [
-                        [(r << n // 2) | c for r in rows[i] for c in cols[j]]
-                        for i, j in zip(group.hi_part.tolist(), group.lo_part.tolist())
-                    ]
-                for f, z_list in zip(group.flips.tolist(), zs):
-                    pairs = {(f, z) for z in z_list}
-                    assert len(pairs) == len(z_list) and not pairs & formed
-                    formed |= pairs
-            reachable = {
-                (f, z)
-                for f in range(1 << n)
-                for z in range(1 << n)
-                if (f | z).bit_count() <= k_max
-            }
-            assert reachable <= formed
-            flips = {f for f in range(1 << n) if f.bit_count() <= k_max}
-            assert {f for f, _ in formed} == flips
+        formed = set()
+        grouped = []
+        for group in pauli._flip_groups(n, k_max):
+            grouped += group.flips.tolist()
+            rows, cols = group.rows.tolist(), group.cols.tolist()
+            for f, i, j in zip(
+                group.flips.tolist(), group.hi_part.tolist(), group.lo_part.tolist()
+            ):
+                pairs = {(f, (r << n // 2) | c) for r in rows[i] for c in cols[j]}
+                assert len(pairs) == len(rows[i]) * len(cols[j]) and not pairs & formed
+                formed |= pairs
+        reachable = {
+            (f, z)
+            for f in range(1 << n)
+            for z in range(1 << n)
+            if (f | z).bit_count() <= k_max
+        }
+        assert reachable <= formed
+        # every flip mask of popcount <= k_max sits in exactly one group
+        flips = [f for f in range(1 << n) if f.bit_count() <= k_max]
+        assert sorted(grouped) == flips
+
+
+def test_flip_groups_do_not_depend_on_the_block_size(monkeypatch):
+    # at n = 12, k = 4 (the CLI default weight) the lightest group keeps
+    # 57 x 57 of the 64 x 64 phase masks; groups are cached on (n, k_max) alone
+    groups = pauli._flip_groups(12, 4)
+    state = random_state(12, 1204)
+    default = weight_sums(state, 4).m
+    monkeypatch.setattr(pauli, "_BLOCK_AMPS", 1)
+    assert pauli._flip_groups(12, 4) is groups
+    assert weight_sums(state, 4).m == pytest.approx(default, abs=1e-12)
 
 
 def test_flip_groups_at_n12_form_1756_strings_for_weight_2():
-    groups = pauli._flip_groups(12, 2, 1)
-    assert all(group.rows is not None for group in groups)
+    groups = pauli._flip_groups(12, 2)
     formed = sum(g.rows.shape[1] * g.cols.shape[1] * g.flips.size for g in groups)
     assert formed == 1756
 
 
 def test_enumeration_matches_moebius_at_n13():
-    # odd n beyond the reference: halves of 7 and 6 bits, every group restricted
+    # odd n beyond the reference: halves of 7 and 6 bits
     state = random_state(13, 1313)
-    assert all(group.rows is not None for k in (1, 2, 3) for group in pauli._flip_groups(13, k, 1))
     moebius = weight_sums(state, 3, "moebius").m
     for k_max in (1, 2, 3):
         assert weight_sums(state, k_max, "enumeration").m == pytest.approx(
@@ -181,8 +186,6 @@ def test_enumeration_matches_moebius_at_n13():
 
 def test_hermitian_residue_guard(monkeypatch):
     monkeypatch.setattr(pauli, "IMAG_TOL", -1.0)
-    # odd n, k_max < n/2: every flip mask is transformed onto a restricted selection
-    assert all(group.rows is not None for group in pauli._flip_groups(13, 1, 1))
     with pytest.raises(PauliError, match="non-Hermitian"):
         weight_sums(random_state(13, 3), 1, "enumeration")
     with pytest.raises(PauliError, match="non-Hermitian"):

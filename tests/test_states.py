@@ -15,6 +15,7 @@ from mmeslab.states import (
     QState,
     StateError,
     apply_local_unitaries,
+    apply_single_qubit_unitary,
     conjugate,
     load_state,
     make_basis_state,
@@ -355,3 +356,35 @@ def test_local_unitaries_preserve_norm():
     s = random_state(3, 5)
     out = apply_local_unitaries(s, [_haar_unitary(rng) for _ in range(3)])
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        [[1, 0], [0, 0]],  # a projector
+        [[2, 0], [0, 2]],
+        [[1, 1], [0, 1]],
+        np.eye(3),
+        np.eye(2)[:, :1],
+        [[1, 0], [0, np.nan]],
+        [[np.inf, 0], [0, 1]],
+    ],
+    ids=["projector", "scaled", "shear", "3x3", "2x1", "nan", "inf"],
+)
+def test_single_qubit_unitary_refuses_a_non_unitary(u):
+    with pytest.raises(StateError, match="finite 2x2 unitary"):
+        apply_single_qubit_unitary(random_state(2, 4), 1, u)
+
+
+@pytest.mark.parametrize("qubit", [True, False, 1.0, "1", None, 0, 3, -1])
+def test_single_qubit_unitary_refuses_a_bad_qubit(qubit):
+    with pytest.raises(StateError, match="qubit"):
+        apply_single_qubit_unitary(random_state(2, 4), qubit, np.eye(2))
+
+
+def test_single_qubit_unitary_takes_numpy_int_qubits():
+    # at n = 12 the shift 1 << (n - qubit) would wrap in a uint8
+    s = make_basis_state(12, 0)
+    x = np.array([[0, 1], [1, 0]])
+    for qubit in (np.int64(1), np.uint8(1)):
+        assert apply_single_qubit_unitary(s, qubit, x).amplitudes[1 << 11] == 1.0
