@@ -30,9 +30,8 @@ from .purity import balanced_purities, subset_purities, subset_purity_tables
 # ``average_balanced_purity`` under these names.
 from .pauli import weight_sums  # noqa: F401
 from .purity import average_balanced_purity  # noqa: F401
-from .states import STREAM_MULTIPLIER, QState, make_basis_state, make_ghz, make_w, random_state
-
-SUPPORTED_N = (2, 4, 6, 8, 10, 12)
+from .states import STREAM_MULTIPLIER, QState, check_int, random_state
+from .states import make_basis_state, make_ghz, make_w
 
 # Held-out fit states are the streams of seed + 0x5EED, written as streams
 # of seed so that every seed in range can be used.
@@ -45,9 +44,12 @@ class ModelError(ValueError):
     """Unsupported model request or mismatched operands."""
 
 
-def _is_int(n) -> bool:
-    # a float or bool equal to an int would otherwise pass as that int
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+def _check_n(n) -> int:
+    """``n`` as an int if it is an even int >= 2, else a ModelError."""
+    n = check_int(n, "n", 2, None, ModelError)
+    if n % 2:
+        raise ModelError(f"models are defined for even n >= 2, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,7 @@ class DecompositionModel:
     provenance: str  # "printed" | "derived" | "fitted"
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n % 2 or self.n < 2:
-            raise ModelError(f"models are defined for even n >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _check_n(self.n))
         if len(self.weight_coeffs) != self.n // 2 - 1:
             raise ModelError(
                 f"expected {self.n // 2 - 1} weight coefficients, got "
@@ -174,10 +175,12 @@ _PRINTED: dict[int, DecompositionModel] = {
     ),
 }
 
+SUPPORTED_N = tuple(_PRINTED)
+
 
 def printed_model(n: int) -> DecompositionModel:
     """The published model for n in {2, 4, 6, 8, 10, 12}, coefficients verbatim."""
-    if not _is_int(n) or n not in _PRINTED:
+    if _check_n(n) not in _PRINTED:
         raise ModelError(f"no printed model for n={n!r}; supported: {SUPPORTED_N}")
     return _PRINTED[n]
 
@@ -193,8 +196,7 @@ def derived_model(n: int) -> DecompositionModel:
     (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.  Cached: the
     model is frozen and depends on n alone.
     """
-    if not _is_int(n) or n % 2 or n < 2:
-        raise ModelError(f"models are defined for even n >= 2, got {n!r}")
+    n = _check_n(n)
     half = n // 2
     tau_coeff = Fraction((-1) ** half, comb(n, half))
     model = DecompositionModel(n, 0, (Fraction(0),) * (half - 1), tau_coeff, 0, "derived")
@@ -280,9 +282,9 @@ def verify_identity(n: int, samples: int, seed: int, tol: float) -> Verification
     # that a NaN tol fails
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < inf:
         raise ModelError(f"tol must be a finite number >= 0, got {tol!r}")
-    if type(samples) is not int or samples < 1:
-        raise ModelError(f"samples must be an int >= 1, got {samples!r}")
+    samples = check_int(samples, "samples", 1, None, ModelError)
     model = printed_model(n)
+    n = model.n
     canonical = canonical_states(n)
     labels = [label for label, _ in canonical] + [f"random[{i}]" for i in range(samples)]
     states = chain(
@@ -349,15 +351,11 @@ def fit_coefficients(
     subset-purity tables computed a chunk at a time
     (``subset_purity_tables``), so no sample set is held in memory.
     """
+    n = _check_n(n)
     if n not in SUPPORTED_N:
         raise ModelError(f"fit supports n in {SUPPORTED_N}, got {n}")
-    min_samples = 4 * (n // 2 + 2)
-    if type(samples) is not int:
-        raise ModelError(f"samples must be an int, got {samples!r}")
-    if samples < min_samples:
-        raise ModelError(f"need at least {min_samples} samples for n={n}")
-    if type(holdout_samples) is not int or holdout_samples < 1:
-        raise ModelError(f"holdout_samples must be an int >= 1, got {holdout_samples!r}")
+    samples = check_int(samples, "samples", 4 * (n // 2 + 2), None, ModelError)
+    holdout_samples = check_int(holdout_samples, "holdout_samples", 1, None, ModelError)
 
     train = (random_state(n, seed, i + 1) for i in range(samples))
     x_train, y_train = _feature_rows(n, train)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .purity import subset_purities
-from .states import QState
+from .states import QState, check_int
 
 IMAG_TOL = 1e-10
 
@@ -57,12 +57,14 @@ class PauliString:
     letters: Mapping[int, str]
 
     def __post_init__(self):
-        letters = dict(self.letters)
-        for pos, letter in letters.items():
-            if not 1 <= pos <= self.n:
-                raise PauliError(f"position {pos} out of range for n={self.n}")
+        n = check_int(self.n, "n", 1, None, PauliError)
+        letters = {}
+        for pos, letter in self.letters.items():
+            pos = check_int(pos, "position", 1, n, PauliError)
             if letter not in ("x", "y", "z"):
                 raise PauliError(f"bad Pauli letter {letter!r} at position {pos}")
+            letters[pos] = letter
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
     def masks(self) -> tuple[int, int, int]:
@@ -114,7 +116,7 @@ def f_invariant(state: QState, subset: Iterable[int]) -> float:
     order.  ``weight_sums(..., "enumeration")`` gets the same squares from
     one Walsh-Hadamard transform per flip mask and is tested against this.
     """
-    positions = sorted(set(subset))
+    positions = sorted({check_int(p, "position", 1, state.n, PauliError) for p in subset})
     if not positions:
         raise PauliError("F_S needs a nonempty subset")
     total = 0.0
@@ -243,12 +245,6 @@ class WeightSums:
         return len(self.m)
 
 
-def _check_k_max(k_max: int, n: int) -> None:
-    """A PauliError unless k_max is an int in [1, n]: a bool or float is refused."""
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or not 1 <= k_max <= n:
-        raise PauliError(f"k_max must be an int in [1, {n}], got {k_max!r}")
-
-
 def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> WeightSums:
     """M_k for k = 1..k_max, from the Pauli side or by Moebius inversion.
 
@@ -259,7 +255,7 @@ def weight_sums(state: QState, k_max: int, strategy: str = "enumeration") -> Wei
     same sums from the subset-purity table (see ``moebius_weight_sums``).  The
     two share no code and cross-check each other.
     """
-    _check_k_max(k_max, state.n)
+    k_max = check_int(k_max, "k_max", 1, state.n, PauliError)
     if strategy == "enumeration":
         m = tuple(_weight_enumerator(state, k_max).tolist())
     elif strategy == "moebius":
@@ -296,7 +292,7 @@ def moebius_weight_sums(purities: np.ndarray, k_max: int) -> tuple[float, ...]:
     n = purities.size.bit_length() - 1
     if n < 1 or purities.size != 1 << n:
         raise PauliError(f"a subset-purity table has 2^n entries, n >= 1; got {purities.size}")
-    _check_k_max(k_max, n)
+    k_max = check_int(k_max, "k_max", 1, n, PauliError)
     sizes = np.bitwise_count(np.arange(purities.size, dtype=np.uint32))
     per_size = np.bincount(sizes, weights=purities, minlength=n + 1)
     return tuple((size_to_weight(n)[1 : k_max + 1] @ per_size).tolist())

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .states import QState, StateError
+from .states import QState, StateError, check_int
 
 PURITY_TOL = 1e-10
 
@@ -47,12 +47,10 @@ def reduced_purity(state: QState, part_a: Iterable[int]) -> float:
     squared Frobenius norm of the Gram matrix built on the smaller side
     (identical spectra, half the work of forming rho_A at |A| > n/2).
     """
-    positions = sorted(set(part_a))
     n = state.n
+    positions = sorted({check_int(p, "position", 1, n) for p in part_a})
     if not positions or len(positions) == n:
         raise StateError(f"part_a must be a proper nonempty subset of 1..{n}")
-    if positions[0] < 1 or positions[-1] > n:
-        raise StateError(f"positions {positions} out of range for n={n}")
     axes = [p - 1 for p in positions]
     rest = [q for q in range(n) if q not in axes]
     ten = state.amplitudes.reshape((2,) * n)

@@ -152,7 +152,7 @@ def invariants_results(
     errata: list[str] = []
     sums = weight_sums(state, max_weight, strategy="enumeration")
     results["weight_sums"] = {
-        "k_max": max_weight,
+        "k_max": sums.k_max,
         "m": list(sums.m),
         "strategy": sums.strategy,
     }

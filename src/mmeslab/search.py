@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purity import _mean_purity_and_grad, _one_block_rows, average_balanced_purity
-from .states import QState, StateError, _normalized, check_seed, random_state
+from .states import SEED_LIMIT, QState, _normalized, check_int, random_state
 
 _MEMORY = 8  # L-BFGS correction pairs kept
 _DECREASE_C = 1e-4  # sufficient-decrease constant of the line search
@@ -57,8 +57,9 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """One search: n, restarts and max_iters are plain Python ints (a bool or
-    numpy integer is refused)."""
+    """One search: even n in [2, 12], restarts and max_iters >= 1 and a seed
+    in [0, 2**64).  Each field is a Python or numpy int (``check_int``; a
+    bool or float is refused) and is stored as a Python int."""
 
     n: int
     restarts: int = 16
@@ -66,20 +67,16 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "restarts", "max_iters"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise SearchError(f"{name} must be an int, got {value!r}")
-        if self.n % 2 or self.n < 2:
+        for name, lo, hi in (
+            ("n", 2, 12),
+            ("restarts", 1, None),
+            ("max_iters", 1, None),
+            ("seed", 0, SEED_LIMIT - 1),
+        ):
+            value = check_int(getattr(self, name), name, lo, hi, SearchError)
+            object.__setattr__(self, name, value)
+        if self.n % 2:
             raise SearchError(f"search needs even n >= 2, got {self.n}")
-        if self.n > 12:
-            raise SearchError(f"search capped at n = 12, got {self.n}")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise SearchError("restarts and max_iters must be >= 1")
-        try:
-            check_seed(self.seed)
-        except StateError as exc:
-            raise SearchError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,10 @@ def gradient_check(n: int, seed: int) -> float:
     """Max deviation between the analytic gradient and central finite
     differences, at step ``GRADIENT_CHECK_STEP``, over all 2^(n+1) real
     parameters at a Haar-random point."""
-    if n % 2 or n < 2 or n > 6:
+    n = check_int(n, "n", 2, 6, SearchError)
+    if n % 2:
         raise SearchError(f"gradient_check supports even n in [2, 6], got {n}")
+    seed = check_int(seed, "seed", 0, SEED_LIMIT - 1, SearchError)
     amps = random_state(n, seed).amplitudes.copy()
     _, grad = _mean_purity_and_grad(amps)
     analytic = grad.view(np.float64)  # (re, im) pairs

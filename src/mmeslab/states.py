@@ -4,6 +4,11 @@ Convention used everywhere in this package: qubit 1 is the most significant
 bit of the basis index, so for ``make_basis_state(n, i)`` qubit k carries the
 bit ``(i >> (n - k)) & 1``.  Amplitude arrays are immutable after
 construction and safe to share between threads.
+
+Every integer argument of the package (qubit counts, positions, indices,
+weights, sample counts, seeds) passes through ``check_int``: a Python or
+numpy int in range is kept as a Python int, and anything else, a bool or a
+float equal to an int included, is refused with the caller's error class.
 """
 from __future__ import annotations
 
@@ -80,11 +85,8 @@ def _normalized(n: int, amps: np.ndarray, meta: Mapping | None = None) -> QState
 
 def make_basis_state(n: int, index: int) -> QState:
     """Computational basis state |index> on n qubits."""
-    check_qubit_count(n)
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise StateError(f"basis index must be an int, got {index!r}")
-    if not 0 <= index < (1 << n):
-        raise StateError(f"basis index {index} out of range for n={n}")
+    n = check_qubit_count(n)
+    index = check_int(index, "basis index", 0, (1 << n) - 1)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = 1.0
     return QState(n, amps)
@@ -145,24 +147,29 @@ def make_psi_m8() -> QState:
     return _normalized(8, raw, meta={"raw_norm": raw_norm})
 
 
+def check_int(value, name: str, lo: int, hi: int | None, error=StateError) -> int:
+    """``int(value)`` if ``value`` is a Python or numpy int in [lo, hi] (no
+    upper bound if ``hi`` is None); otherwise ``error`` (a ValueError
+    class), whose message starts with ``name`` and ``value``.  A bool, float, string or None is
+    refused, even one equal to an int."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+        if lo <= value and (hi is None or value <= hi):
+            return value
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise error(f"{name} {value!r} is not an int {span}")
+
+
 def check_qubit_count(n: int) -> int:
-    """``n`` if it is an int in [1, MAX_QUBITS], else a StateError; every
-    state maker calls this before it allocates 2^n amplitudes."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise StateError(f"qubit count must be an int, got {n!r}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise StateError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    return int(n)
+    """``n`` as an int in [1, MAX_QUBITS], else a StateError (``check_int``);
+    every state maker calls this before it allocates 2^n amplitudes."""
+    return check_int(n, "qubit count", 1, MAX_QUBITS)
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` itself if it is an int in [0, 2**64); otherwise a StateError
-    that names it.  Every seed a caller passes in is checked here."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise StateError(f"seed {seed!r} is not an integer")
-    if not 0 <= seed < SEED_LIMIT:
-        raise StateError(f"seed {seed} is outside [0, 2**64)")
-    return int(seed)
+    """``seed`` as an int in [0, 2**64), else a StateError that names it
+    (``check_int``).  Every seed a caller passes in is checked here."""
+    return check_int(seed, "seed", 0, SEED_LIMIT - 1)
 
 
 def random_state(n: int, seed: int, stream: int | None = None) -> QState:
@@ -177,9 +184,7 @@ def random_state(n: int, seed: int, stream: int | None = None) -> QState:
     check_qubit_count(n)
     key = check_seed(seed)
     if stream is not None:
-        if type(stream) is not int or not 0 <= stream < 1 << 126:
-            raise StateError(f"stream {stream!r} is not an integer in [0, 2**126)")
-        key = key * STREAM_MULTIPLIER + stream
+        key = key * STREAM_MULTIPLIER + check_int(stream, "stream", 0, (1 << 126) - 1)
     rng = np.random.Generator(np.random.Philox(key=key))
     x = rng.standard_normal(1 << (n + 1))
     amps = x[: 1 << n] + 1j * x[1 << n :]
@@ -193,6 +198,7 @@ def conjugate(state: QState) -> QState:
 
 def permute_qubits(state: QState, perm: Sequence[int]) -> QState:
     """Relabel qubits: output qubit k is input qubit perm[k-1] (1-based)."""
+    perm = [check_int(p, "position", 1, state.n) for p in perm]
     if sorted(perm) != list(range(1, state.n + 1)):
         raise StateError(f"perm must be a permutation of 1..{state.n}, got {perm}")
     ten = state.amplitudes.reshape((2,) * state.n)
@@ -204,10 +210,7 @@ def apply_single_qubit_unitary(state: QState, qubit: int, u: np.ndarray) -> QSta
     """Apply a 2x2 unitary to one qubit (1-based position): a StateError unless
     ``qubit`` is an int in [1, n] and ``u`` is finite, 2x2 and unitary to
     within _UNITARY_TOL in every entry of u^dagger u (a projector is refused)."""
-    is_int = isinstance(qubit, (int, np.integer)) and not isinstance(qubit, bool)
-    if not (is_int and 1 <= qubit <= state.n):
-        raise StateError(f"qubit must be an int in [1, {state.n}], got {qubit!r}")
-    qubit = int(qubit)  # a numpy uint8 would wrap in the shifts below
+    qubit = check_int(qubit, "qubit", 1, state.n)  # a numpy uint8 would wrap in the shifts
     u = np.asarray(u, dtype=np.complex128)
     finite = u.shape == (2, 2) and np.isfinite(u).all()
     if not (finite and np.abs(u.conj().T @ u - np.eye(2)).max() <= _UNITARY_TOL):
@@ -275,9 +278,7 @@ def load_state(source: str | os.PathLike) -> QState:
             raise StateError(f"malformed state file {source}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise StateError(f"{source}: not a {STATE_FORMAT} document")
-    n = doc.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise StateError(f"{source}: bad qubit count {n!r}")
+    n = check_int(doc.get("n"), f"{source}: qubit count", 1, MAX_QUBITS)
     pairs = doc.get("amplitudes")
     if not isinstance(pairs, list) or len(pairs) != (1 << n):
         got = len(pairs) if isinstance(pairs, list) else pairs

@@ -162,10 +162,12 @@ def test_invariants_explicit_max_weight_above_n_exits_2(tmp_path, capsys):
         (["verify", "--n", "14", "--samples", "2"], "n=14"),
         (["search", "--n", "2", "--seed", "-1"], "seed -1 "),
         (["state", "--kind", "random", "--n", "40", "--out", "x.json"], "qubit count"),
+        (["verify", "--n", "4", "--samples", "0"], "error: samples 0 "),
+        (["search", "--n", "4", "--restarts", "0"], "error: restarts 0 "),
     ],
     ids=[
         "psi_m8-n4", "ghz-no-n", "max-weight-5", "missing", "malformed",
-        "verify-14", "seed-1", "n40",
+        "verify-14", "seed-1", "n40", "samples-0", "restarts-0",
     ],
 )
 def test_every_usage_error_is_one_error_line(tmp_path, monkeypatch, capsys, argv, named):

@@ -19,8 +19,9 @@ from mmeslab.pauli import (
     size_to_weight,
     weight_sums,
 )
-from mmeslab.purity import subset_purities
+from mmeslab.purity import reduced_purity, subset_purities
 from mmeslab.states import (
+    StateError,
     apply_local_unitaries,
     make_basis_state,
     make_ghz,
@@ -36,6 +37,33 @@ def test_pauli_string_validation():
         PauliString(4, {5: "x"})
     with pytest.raises(PauliError):
         PauliString(4, {1: "q"})
+
+
+@pytest.mark.parametrize("pos", [1.5, 2.0, True])
+def test_qubit_positions_must_be_ints(pos):
+    # a float position raised a bare TypeError from a shift or a transpose,
+    # and True passed as qubit 1
+    ghz = make_ghz(4)
+    with pytest.raises(PauliError, match="^position "):
+        PauliString(4, {pos: "x"})
+    with pytest.raises(PauliError, match="^position "):
+        f_invariant(ghz, [pos])
+    with pytest.raises(StateError, match="^position "):
+        reduced_purity(ghz, [pos])
+    with pytest.raises(StateError, match="^position "):
+        permute_qubits(make_ghz(2), (pos, 1))
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+def test_pauli_string_n_must_be_an_int(n):
+    with pytest.raises(PauliError, match="^n "):
+        PauliString(n, {1: "x"})
+
+
+def test_pauli_string_keeps_numpy_ints_as_ints():
+    p = PauliString(np.int64(2), {np.uint8(1): "x"})
+    assert type(p.n) is int and [type(pos) for pos in p.letters] == [int]
+    assert p.masks() == (2, 0, 0)
 
 
 def test_expectation_z_on_basis():
@@ -244,9 +272,9 @@ def test_k_max_must_be_an_int(k_max):
     # a bare TypeError from range or a slice
     state = make_ghz(4)
     for strategy in ("enumeration", "moebius"):
-        with pytest.raises(PauliError, match="k_max must be an int"):
+        with pytest.raises(PauliError, match="^k_max .* is not an int"):
             weight_sums(state, k_max, strategy)
-    with pytest.raises(PauliError, match="k_max must be an int"):
+    with pytest.raises(PauliError, match="^k_max .* is not an int"):
         moebius_weight_sums(subset_purities(state), k_max)
 
 

@@ -47,10 +47,17 @@ def test_config_validation():
         ("restarts", True),
         ("restarts", 1.5),
         ("max_iters", 3.5),
-        ("max_iters", np.int64(3)),
     ]:
-        with pytest.raises(SearchError, match=f"{field} must be an int"):
+        with pytest.raises(SearchError, match=f"^{field} .* is not an int"):
             SearchConfig(**{"n": 6, field: value})
+
+
+def test_config_keeps_numpy_ints_as_ints():
+    max_iters = SearchConfig(n=6, max_iters=np.int64(3)).max_iters
+    assert type(max_iters) is int and max_iters == 3
+    config = SearchConfig(n=np.int64(6), restarts=np.uint8(2), seed=np.uint64(3))
+    assert config == SearchConfig(n=6, restarts=2, seed=3)
+    assert all(type(v) is int for v in (config.n, config.restarts, config.max_iters, config.seed))
 
 
 def test_objective_matches_oracle_on_unit_states():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -52,8 +53,31 @@ def test_basis_state_index_out_of_range():
 @pytest.mark.parametrize("index", [True, False, 1.5, 2.0, "1", None])
 def test_basis_state_index_must_be_an_int(index):
     # a bool indexed the amplitudes as a mask, and a float raised IndexError
-    with pytest.raises(StateError, match="basis index must be an int"):
+    with pytest.raises(StateError, match="^basis index .* is not an int"):
         make_basis_state(3, index)
+
+
+@pytest.mark.parametrize("value", [True, False, 3.0, 2.5, "3", None, np.float64(3)])
+def test_check_int_refuses_what_is_not_an_int(value):
+    message = re.escape(f"count {value!r} is not an int in [0, 5]")
+    with pytest.raises(StateError, match=f"^{message}"):
+        states.check_int(value, "count", 0, 5)
+
+
+def test_check_int_keeps_python_ints_and_names_its_error():
+    for value in (3, np.int64(3), np.uint8(3), np.uint64(3)):
+        got = states.check_int(value, "count", 0, 5)
+        assert type(got) is int and got == 3
+    assert states.check_int(2**70, "count", 0, None) == 2**70
+
+    class Refused(ValueError):
+        pass
+
+    for value in (-1, 6, np.int64(6)):
+        with pytest.raises(Refused, match=f"^count {int(value)} is not an int in"):
+            states.check_int(value, "count", 0, 5, Refused)
+    with pytest.raises(StateError, match=r"^count 0 is not an int >= 1$"):
+        states.check_int(0, "count", 1, None)
 
 
 def test_basis_state_takes_numpy_ints():
