@@ -179,13 +179,13 @@ def test_verify_identity_takes_int_and_float_tols(tol):
     assert verify_identity(4, 1, 0, tol).tol == tol
 
 
-@pytest.mark.parametrize("samples", [True, 2.5, 3.0, "3"])
+@pytest.mark.parametrize("samples", [True, 2.5, 3.0, np.float32(3.0), "3"])
 def test_verify_identity_refuses_samples_that_are_not_ints(samples):
     with pytest.raises(ModelError, match="^samples .* is not an int"):
         verify_identity(4, samples, 0, 1e-9)
 
 
-@pytest.mark.parametrize("samples", [True, 24.0, 24.5, "24"])
+@pytest.mark.parametrize("samples", [True, 24.0, 24.5, np.float32(24.0), "24"])
 def test_fit_refuses_samples_that_are_not_ints(samples, monkeypatch):
     def no_draw(*args):
         raise AssertionError("a state was drawn before the arguments were checked")
