@@ -27,6 +27,7 @@ from .decomposition import (
 )
 from .search import SearchConfig, minimize_average_purity
 from .states import (
+    check_int,
     check_seed,
     load_state,
     make_basis_state,
@@ -133,8 +134,7 @@ def _cmd_state(args) -> _Report:
 def _cmd_invariants(args) -> _Report:
     state = load_state(args.in_path)
     max_weight = min(4, state.n) if args.max_weight is None else args.max_weight
-    if not 1 <= max_weight <= state.n:
-        raise ValueError(f"--max-weight must be in [1, {state.n}]")
+    max_weight = check_int(max_weight, "--max-weight", 1, state.n, ValueError)
     results, errata = reports.invariants_results(
         state, max_weight, with_purity=not args.no_purity
     )
@@ -171,6 +171,8 @@ def _coeff_text(c: Fraction | float) -> str:
 
 
 def _cmd_fit(args) -> _Report:
+    # the library fits at any even n; the CLI keeps the printed n = 2 .. 12
+    printed = printed_model(args.n)
     model, diag = fit_coefficients(args.n, args.samples, args.seed)
     lines = [
         f"fitted n={args.n}: holdout max residual {diag.holdout_max_residual}, "
@@ -179,7 +181,7 @@ def _cmd_fit(args) -> _Report:
     ]
     names = ["C", *(f"M_{k}" for k in range(1, args.n // 2)), "tau", "tau offset"]
     columns = (
-        printed_model(args.n).coefficients(),
+        printed.coefficients(),
         derived_model(args.n).coefficients(),
         model.coefficients(),
     )

@@ -3,19 +3,22 @@
 All printed constants live as exact ``Fraction`` values and become floats
 only at evaluation time, so comparisons against the published tables are
 exact.  ``derived_model`` derives the table for any even n from
-``size_weights`` alone, so the printed tables are checked coefficient by
-coefficient in exact arithmetic; ``fit_coefficients`` is the independent
-numerical cross-check.  ``evaluate`` scores a state off its subset-purity
-table; ``verify_identity`` (printed model) and ``fit_coefficients`` (feature
-rows from ``derived_model`` reports) draw their states lazily and hand it
-each table of ``subset_purity_tables``.  Residual sign convention, fixed
-package-wide: oracle minus model.
+``size_weights`` alone and is the model the library computes with; the
+printed tables (n = 2 .. 12) are read only by the code that checks them:
+``printed_model``, ``verify_identity``, ``known_errata`` (coefficient by
+coefficient against ``derived_model``, in exact arithmetic) and
+``conjecture_audit``.  ``fit_coefficients`` is the independent numerical
+cross-check, at any even n: it takes its feature rows and its anchored C
+from ``derived_model``.  ``evaluate`` scores a state off its subset-purity
+table; ``verify_identity`` and ``fit_coefficients`` draw their states
+lazily and hand it each table of ``subset_purity_tables``.  Residual sign
+convention, fixed package-wide: oracle minus model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain
 from math import comb, inf
 from typing import Iterable, Sequence
@@ -185,7 +188,6 @@ def printed_model(n: int) -> DecompositionModel:
     return _PRINTED[n]
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must miss the entry for 4
 def derived_model(n: int) -> DecompositionModel:
     """The exact model for any even n >= 2: ``size_weights`` = (0, ..., 0, 1).
 
@@ -193,10 +195,15 @@ def derived_model(n: int) -> DecompositionModel:
     reaches lambda_k, so the w_k follow by back-substitution from k = n/2 - 1
     down to 1; C + tau_offset then cancels lambda_0.  C and tau_offset are
     split as in the printed tables: tau_offset = -tau_coeff for n = 2 mod 4
-    (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.  Cached: the
-    model is frozen and depends on n alone.
+    (K carries tau_coeff * (tau - 1)), and 0 for n = 0 mod 4.  Cached on the
+    checked int: the model is frozen and depends on n alone, so 4,
+    ``np.int64(4)`` and ``np.uint8(4)`` share one entry.
     """
-    n = _check_n(n)
+    return _derive(_check_n(n))
+
+
+@cache
+def _derive(n: int) -> DecompositionModel:
     half = n // 2
     tau_coeff = Fraction((-1) ** half, comb(n, half))
     model = DecompositionModel(n, 0, (Fraction(0),) * (half - 1), tau_coeff, 0, "derived")
@@ -343,17 +350,17 @@ def fit_coefficients(
 ) -> tuple[DecompositionModel, FitDiagnostics]:
     """Least-squares reconstruction of the C + K coefficients from the oracle.
 
+    Runs at any even n >= 2, printed table or not: nothing here reads one.
     Features are {1, M_1, ..., M_{n/2-1}, tau_n}; the weight-n/2 sum is
     excluded by construction because purity identities make it linearly
     dependent on the rest.  Near-rational coefficients are snapped to
     small-denominator fractions and kept only if the held-out residual does
     not degrade beyond ``SNAP_TOL``.  States are drawn lazily and their
     subset-purity tables computed a chunk at a time
-    (``subset_purity_tables``), so no sample set is held in memory.
+    (``subset_purity_tables``), so no sample set is held in memory.  At
+    n = 14, 36 samples snap every coefficient to ``derived_model(14)``.
     """
     n = _check_n(n)
-    if n not in SUPPORTED_N:
-        raise ModelError(f"fit supports n in {SUPPORTED_N}, got {n}")
     samples = check_int(samples, "samples", 4 * (n // 2 + 2), None, ModelError)
     holdout_samples = check_int(holdout_samples, "holdout_samples", 1, None, ModelError)
 
@@ -376,8 +383,8 @@ def fit_coefficients(
 
     use: list[Coeff] = candidate if snapped else [float(c) for c in coeffs]
     c0, wcs, c_tau = use[0], tuple(use[1:-1]), use[-1]
-    # Anchor the constant at the exact C (the printed one at every supported
-    # n) so fitted K values compare directly with the paper's tables; the
+    # Anchor the constant at the exact C (the printed one at n <= 12) so
+    # fitted K values compare directly with the paper's tables; the
     # leftover lands in tau_offset.
     exact_c = derived_model(n).constant
     offset = c0 - exact_c if isinstance(c0, Fraction) else c0 - float(exact_c)

@@ -148,7 +148,7 @@ def test_invariants_explicit_max_weight_above_n_exits_2(tmp_path, capsys):
     code, doc, err = run(capsys, "invariants", "--in", str(out), "--max-weight", "5")
     assert code == 2
     assert doc is None
-    assert "--max-weight must be in [1, 3]" in err
+    assert "--max-weight 5 is not an int in [1, 3]" in err
 
 
 @pytest.mark.parametrize(
@@ -156,7 +156,10 @@ def test_invariants_explicit_max_weight_above_n_exits_2(tmp_path, capsys):
     [
         (["state", "--kind", "psi_m8", "--n", "4", "--out", "x.json"], "psi_m8 fixes n=8"),
         (["state", "--kind", "ghz", "--out", "x.json"], "--n is required for --kind ghz"),
-        (["invariants", "--in", "g3.json", "--max-weight", "5"], "--max-weight must be in [1, 3]"),
+        (
+            ["invariants", "--in", "g3.json", "--max-weight", "5"],
+            "--max-weight 5 is not an int in [1, 3]",
+        ),
         (["invariants", "--in", "missing.json"], "missing.json"),
         (["invariants", "--in", "bad.json"], "bad.json"),
         (["verify", "--n", "14", "--samples", "2"], "n=14"),
@@ -248,7 +251,7 @@ def test_verify_exit_codes(capsys):
     "argv, named",
     [
         (["fit", "--n", "7"], "got 7"),
-        (["fit", "--n", "14"], "got 14"),
+        (["fit", "--n", "14"], "n=14"),
         (["verify", "--n", "14", "--samples", "2"], "n=14"),
     ],
     ids=["fit-7", "fit-14", "verify-14"],

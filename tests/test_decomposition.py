@@ -245,6 +245,27 @@ def test_fit_rejects_holdout_samples_below_one(holdout, monkeypatch):
         fit_coefficients(4, 24, 0, holdout_samples=holdout)
 
 
+def test_fit_refuses_n14_only_for_its_sample_count(monkeypatch):
+    # no printed table exists at n = 14; the fit reads none, so the only
+    # refusal left is the sample count, before any state is drawn
+    def no_draw(*args):
+        raise AssertionError("a state was drawn before the arguments were checked")
+
+    monkeypatch.setattr(decomposition, "random_state", no_draw)
+    with pytest.raises(ModelError, match=r"^samples 3 is not an int >= 36$"):
+        fit_coefficients(14, samples=3, seed=0)
+
+
+def test_fit_reads_no_printed_table(monkeypatch):
+    expected = fit_coefficients(8, 24, 0)
+    without_8 = {n: m for n, m in decomposition._PRINTED.items() if n != 8}
+    monkeypatch.setattr(decomposition, "_PRINTED", without_8)
+    monkeypatch.setattr(decomposition, "SUPPORTED_N", tuple(without_8))
+    with pytest.raises(ModelError, match="n=8"):
+        printed_model(8)
+    assert fit_coefficients(8, 24, 0) == expected
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fit_equals_per_state_table_reference(seed, monkeypatch):
     # 40 + 13 states at n = 8: one full chunk of 32 and two partial ones
@@ -351,6 +372,10 @@ def test_models_refuse_an_n_that_is_not_an_int(make, n):
 def test_models_take_a_numpy_int_n(make):
     assert make(np.int64(4)) == make(4)
     assert make(np.int64(4)).size_weights() == make(4).size_weights()
+
+
+def test_derived_model_keeps_one_model_per_n():
+    assert derived_model(4) is derived_model(np.int64(4)) is derived_model(np.uint8(4))
 
 
 def test_conjecture_audit_rows():
