@@ -124,8 +124,11 @@ def _cmd_state(args) -> _Report:
             "state was normalized before writing",
             file=sys.stderr,
         )
+    inputs = {"kind": kind, "n": state.n, "seed": args.seed, "out": args.out}
+    if kind == "basis":
+        inputs["index"] = args.index
     return _Report(
-        inputs={"kind": kind, "n": state.n, "seed": args.seed, "out": args.out},
+        inputs=inputs,
         results={"written": args.out, "n": state.n, **dict(state.meta)},
         lines=[f"wrote {args.out} ({state.dim} amplitudes)"],
     )
@@ -204,10 +207,10 @@ def _cmd_search(args) -> _Report:
         print("note: n=12 search is slow", file=sys.stderr)
     result = minimize_average_purity(config)
     results = reports.search_dict(result)
-    constant = float(printed_model(args.n).constant)
+    constant = float(derived_model(args.n).constant)
     gap = result.best_value - constant
     lines = [
-        f"best pi_ME = {result.best_value}  (printed constant C = {constant}, gap to C = {gap})",
+        f"best pi_ME = {result.best_value}  (C = {constant}, gap to C = {gap})",
         f"n-tangle of best state = {results['best_n_tangle']}",
     ]
     inputs = {

@@ -6,13 +6,16 @@ exact.  ``derived_model`` derives the table for any even n from
 ``size_weights`` alone and is the model the library computes with; the
 printed tables (n = 2 .. 12) are read only by the code that checks them:
 ``printed_model``, ``verify_identity``, ``known_errata`` (coefficient by
-coefficient against ``derived_model``, in exact arithmetic) and
-``conjecture_audit``.  ``fit_coefficients`` is the independent numerical
-cross-check, at any even n: it takes its feature rows and its anchored C
-from ``derived_model``.  ``evaluate`` scores a state off its subset-purity
-table; ``verify_identity`` and ``fit_coefficients`` draw their states
-lazily and hand it each table of ``subset_purity_tables``.  Residual sign
-convention, fixed package-wide: oracle minus model.
+coefficient against ``derived_model``, in exact arithmetic),
+``conjecture_audit``, and in the CLI the ``invariants`` errata block and
+``fit --pretty``'s printed column (``search --pretty`` reads
+``derived_model``'s C).  Every n passes ``states.check_even``.
+``fit_coefficients`` is the independent numerical cross-check, at any even
+n: it takes its feature rows and its anchored C from ``derived_model``.
+``evaluate`` scores a state off its subset-purity table; ``verify_identity``
+and ``fit_coefficients`` draw their states lazily and hand it each table of
+``subset_purity_tables``.  Residual sign convention, fixed package-wide:
+oracle minus model.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .purity import balanced_purities, subset_purities, subset_purity_tables
 # ``average_balanced_purity`` under these names.
 from .pauli import weight_sums  # noqa: F401
 from .purity import average_balanced_purity  # noqa: F401
-from .states import STREAM_MULTIPLIER, QState, check_int, random_state
+from .states import STREAM_MULTIPLIER, QState, check_even, check_int, random_state
 from .states import make_basis_state, make_ghz, make_w
 
 # Held-out fit states are the streams of seed + 0x5EED, written as streams
@@ -45,14 +48,6 @@ Coeff = Fraction | float
 
 class ModelError(ValueError):
     """Unsupported model request or mismatched operands."""
-
-
-def _check_n(n) -> int:
-    """``n`` as an int if it is an even int >= 2, else a ModelError."""
-    n = check_int(n, "n", 2, None, ModelError)
-    if n % 2:
-        raise ModelError(f"models are defined for even n >= 2, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class DecompositionModel:
     provenance: str  # "printed" | "derived" | "fitted"
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _check_n(self.n))
+        object.__setattr__(self, "n", check_even(self.n, "n", 2, None, ModelError))
         if len(self.weight_coeffs) != self.n // 2 - 1:
             raise ModelError(
                 f"expected {self.n // 2 - 1} weight coefficients, got "
@@ -183,7 +178,7 @@ SUPPORTED_N = tuple(_PRINTED)
 
 def printed_model(n: int) -> DecompositionModel:
     """The published model for n in {2, 4, 6, 8, 10, 12}, coefficients verbatim."""
-    if _check_n(n) not in _PRINTED:
+    if check_even(n, "n", 2, None, ModelError) not in _PRINTED:
         raise ModelError(f"no printed model for n={n!r}; supported: {SUPPORTED_N}")
     return _PRINTED[n]
 
@@ -199,7 +194,7 @@ def derived_model(n: int) -> DecompositionModel:
     checked int: the model is frozen and depends on n alone, so 4,
     ``np.int64(4)`` and ``np.uint8(4)`` share one entry.
     """
-    return _derive(_check_n(n))
+    return _derive(check_even(n, "n", 2, None, ModelError))
 
 
 @cache
@@ -360,7 +355,7 @@ def fit_coefficients(
     (``subset_purity_tables``), so no sample set is held in memory.  At
     n = 14, 36 samples snap every coefficient to ``derived_model(14)``.
     """
-    n = _check_n(n)
+    n = check_even(n, "n", 2, None, ModelError)
     samples = check_int(samples, "samples", 4 * (n // 2 + 2), None, ModelError)
     holdout_samples = check_int(holdout_samples, "holdout_samples", 1, None, ModelError)
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .purity import subset_purities
-from .states import QState, check_int
+from .states import QState, check_even, check_int
 
 IMAG_TOL = 1e-10
 
@@ -304,8 +304,7 @@ def n_tangle(state: QState) -> float:
     sigma_y^(x n) sends basis index i to its bitwise complement with phase
     i^n * (-1)^popcount(i), so the overlap is a single O(2^n) sum.
     """
-    state.require_even()
-    n = state.n
+    n = check_even(state.n, "n", 1, None)
     a = state.amplitudes
     idx = _indices(n)
     comp = idx ^ np.uint32((1 << n) - 1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purity import _mean_purity_and_grad, _one_block_rows, average_balanced_purity
-from .states import SEED_LIMIT, QState, _normalized, check_int, random_state
+from .states import SEED_LIMIT, QState, _normalized, check_even, check_int, random_state
 
 _MEMORY = 8  # L-BFGS correction pairs kept
 _DECREASE_C = 1e-4  # sufficient-decrease constant of the line search
@@ -57,9 +57,9 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """One search: even n in [2, 12], restarts and max_iters >= 1 and a seed
-    in [0, 2**64).  Each field is a Python or numpy int (``check_int``; a
-    bool or float is refused) and is stored as a Python int."""
+    """One search: even n in [2, 12] (``check_even``), restarts and max_iters
+    >= 1 and a seed in [0, 2**64), each a Python or numpy int (a bool or float
+    is refused) stored as a Python int.  It reads no printed table."""
 
     n: int
     restarts: int = 16
@@ -67,16 +67,14 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_even(self.n, "n", 2, 12, SearchError))
         for name, lo, hi in (
-            ("n", 2, 12),
             ("restarts", 1, None),
             ("max_iters", 1, None),
             ("seed", 0, SEED_LIMIT - 1),
         ):
             value = check_int(getattr(self, name), name, lo, hi, SearchError)
             object.__setattr__(self, name, value)
-        if self.n % 2:
-            raise SearchError(f"search needs even n >= 2, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,7 @@ def gradient_check(n: int, seed: int) -> float:
     """Max deviation between the analytic gradient and central finite
     differences, at step ``GRADIENT_CHECK_STEP``, over all 2^(n+1) real
     parameters at a Haar-random point."""
-    n = check_int(n, "n", 2, 6, SearchError)
-    if n % 2:
-        raise SearchError(f"gradient_check supports even n in [2, 6], got {n}")
+    n = check_even(n, "n", 2, 6, SearchError)
     seed = check_int(seed, "seed", 0, SEED_LIMIT - 1, SearchError)
     amps = random_state(n, seed).amplitudes.copy()
     _, grad = _mean_purity_and_grad(amps)

@@ -9,6 +9,7 @@ Every integer argument of the package (qubit counts, positions, indices,
 weights, sample counts, seeds) passes through ``check_int``: a Python or
 numpy int in range is kept as a Python int, and anything else, a bool or a
 float equal to an int included, is refused with the caller's error class.
+An n that must be even passes ``check_even``, the package's one parity check.
 """
 from __future__ import annotations
 
@@ -69,10 +70,6 @@ class QState:
     @property
     def dim(self) -> int:
         return 1 << self.n
-
-    def require_even(self) -> None:
-        if self.n % 2:
-            raise StateError(f"operation requires an even qubit count, got n={self.n}")
 
 
 def _normalized(n: int, amps: np.ndarray, meta: Mapping | None = None) -> QState:
@@ -158,6 +155,14 @@ def check_int(value, name: str, lo: int, hi: int | None, error=StateError) -> in
             return value
     span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise error(f"{name} {value!r} is not an int {span}")
+
+
+def check_even(value, name: str, lo: int, hi: int | None, error=StateError) -> int:
+    """``check_int(value, name, lo, hi, error)``, refusing an odd value too."""
+    value = check_int(value, name, lo, hi, error)
+    if value % 2:
+        raise error(f"{name} {value!r} is not even")
+    return value
 
 
 def check_qubit_count(n: int) -> int:
@@ -274,7 +279,7 @@ def load_state(source: str | os.PathLike) -> QState:
     with open(source, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StateError(f"malformed state file {source}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise StateError(f"{source}: not a {STATE_FORMAT} document")

@@ -122,6 +122,18 @@ def test_invariants_ghz8_model_values(tmp_path, capsys):
     assert abs(model["residual_oracle_minus_model"]) <= 1e-10
 
 
+@pytest.mark.parametrize("kind", ["basis", "ghz"])
+def test_state_report_records_the_basis_index(tmp_path, capsys, kind):
+    out = tmp_path / "s.json"
+    code, doc, _ = run(capsys, "state", "--kind", kind, "--n", "3", "--index", "5", "--out", str(out))
+    assert code == 0
+    if kind == "basis":
+        assert doc["inputs"]["index"] == 5
+        assert load_state(out).amplitudes[0b101] == 1.0
+    else:  # --index is read by --kind basis only
+        assert "index" not in doc["inputs"]
+
+
 def test_invariants_one_qubit_skips_purity(tmp_path, capsys):
     out = tmp_path / "b1.json"
     run(capsys, "state", "--kind", "basis", "--n", "1", "--out", str(out))
@@ -167,16 +179,19 @@ def test_invariants_explicit_max_weight_above_n_exits_2(tmp_path, capsys):
         (["state", "--kind", "random", "--n", "40", "--out", "x.json"], "qubit count"),
         (["verify", "--n", "4", "--samples", "0"], "error: samples 0 "),
         (["search", "--n", "4", "--restarts", "0"], "error: restarts 0 "),
+        (["search", "--n", "3"], "error: n 3 is not even"),
+        (["invariants", "--in", "utf16.json"], "error: malformed state file utf16.json: "),
     ],
     ids=[
         "psi_m8-n4", "ghz-no-n", "max-weight-5", "missing", "malformed",
-        "verify-14", "seed-1", "n40", "samples-0", "restarts-0",
+        "verify-14", "seed-1", "n40", "samples-0", "restarts-0", "search-odd-n", "undecodable",
     ],
 )
 def test_every_usage_error_is_one_error_line(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     main(["state", "--kind", "ghz", "--n", "3", "--out", "g3.json"])
     (tmp_path / "bad.json").write_text("{broken")
+    (tmp_path / "utf16.json").write_text("{}", encoding="utf-16")  # starts ff fe
     capsys.readouterr()
     code = main(argv)
     captured = capsys.readouterr()
@@ -250,7 +265,7 @@ def test_verify_exit_codes(capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["fit", "--n", "7"], "got 7"),
+        (["fit", "--n", "7"], "n 7 is not even"),
         (["fit", "--n", "14"], "n=14"),
         (["verify", "--n", "14", "--samples", "2"], "n=14"),
     ],
@@ -343,12 +358,17 @@ def test_search_has_no_objective_option(capsys):
     assert "--objective" in capsys.readouterr().err
 
 
-def test_pretty_search_labels_printed_constant(capsys):
+def test_pretty_search_labels_derived_constant(monkeypatch, capsys):
+    # the gap is to derived_model's C: search reads no printed table
+    def no_printed(n):
+        raise AssertionError("search read a printed table")
+
+    monkeypatch.setattr("mmeslab.cli.printed_model", no_printed)
     code, doc, err = run(
         capsys, "--pretty", "search", "--n", "6", "--restarts", "1", "--max-iters", "5"
     )
     assert code == 0
-    match = re.search(r"best pi_ME = (\S+)  \(printed constant C = 0\.125, gap to C = (\S+)\)", err)
+    match = re.search(r"best pi_ME = (\S+)  \(C = 0\.125, gap to C = (\S+)\)", err)
     assert match, err
     best, gap = map(float, match.groups())
     assert gap == best - 0.125 and gap > 0  # five steps do not reach C

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmeslab import decomposition, reports
+from mmeslab import decomposition, reports, search
 from mmeslab.decomposition import (
     ModelError,
     conjecture_audit,
@@ -23,6 +23,7 @@ from mmeslab.decomposition import (
 )
 from mmeslab.pauli import n_tangle, weight_sums
 from mmeslab.purity import subset_purities
+from mmeslab.search import SearchConfig, SearchError, gradient_check
 from mmeslab.states import StateError, make_basis_state, make_ghz, random_state
 
 
@@ -376,6 +377,52 @@ def test_models_take_a_numpy_int_n(make):
 
 def test_derived_model_keeps_one_model_per_n():
     assert derived_model(4) is derived_model(np.int64(4)) is derived_model(np.uint8(4))
+
+
+def _fitted_n(n, monkeypatch):
+    model, _ = fit_coefficients(n, 4 * (int(n) // 2 + 2), seed=0, holdout_samples=1)
+    return model.n
+
+
+def _gradient_check_n(n, monkeypatch):
+    seen = []
+
+    def spy(n, seed):
+        seen.append(n)
+        return random_state(n, seed)
+
+    monkeypatch.setattr(search, "random_state", spy)
+    gradient_check(n, seed=0)
+    return seen[0]
+
+
+def _tangle_n(n, monkeypatch):
+    state = make_ghz(n)
+    assert n_tangle(state) == pytest.approx(1.0, abs=1e-12)
+    return state.n
+
+
+# Every entry point defined for even n only, its error class, and the n it
+# keeps; each checks n through states.check_even.
+EVEN_N_ENTRY_POINTS = {
+    "DecompositionModel": (ModelError, lambda n, _: _model_of(n).n),
+    "printed_model": (ModelError, lambda n, _: printed_model(n).n),
+    "derived_model": (ModelError, lambda n, _: derived_model(n).n),
+    "fit_coefficients": (ModelError, _fitted_n),
+    "SearchConfig": (SearchError, lambda n, _: SearchConfig(n).n),
+    "gradient_check": (SearchError, _gradient_check_n),
+    "n_tangle": (StateError, _tangle_n),
+}
+
+
+@pytest.mark.parametrize("entry", EVEN_N_ENTRY_POINTS)
+def test_every_even_n_entry_point_refuses_an_odd_n_and_keeps_an_int(monkeypatch, entry):
+    error, checked_n = EVEN_N_ENTRY_POINTS[entry]
+    for odd in (3, np.int64(5)):
+        with pytest.raises(error, match=rf"^n {int(odd)} is not even$"):
+            checked_n(odd, monkeypatch)
+    n = checked_n(np.uint8(4), monkeypatch)
+    assert type(n) is int and n == 4
 
 
 def test_conjecture_audit_rows():

@@ -80,6 +80,24 @@ def test_check_int_keeps_python_ints_and_names_its_error():
         states.check_int(0, "count", 1, None)
 
 
+def test_check_even_refuses_an_odd_value_and_keeps_check_int_messages():
+    class Refused(ValueError):
+        pass
+
+    for value in (4, np.int64(4), np.uint8(4)):
+        got = states.check_even(value, "n", 2, 12, Refused)
+        assert type(got) is int and got == 4
+    for value in (5, np.int64(5)):
+        with pytest.raises(Refused, match=r"^n 5 is not even$"):
+            states.check_even(value, "n", 2, 12, Refused)
+    with pytest.raises(StateError, match=r"^n 3 is not even$"):
+        states.check_even(3, "n", 1, None)
+    # a value that is not an int in range gets check_int's message, odd or not
+    for value in (14, 13, 0, 4.0, True):
+        with pytest.raises(Refused, match=rf"^n {value!r} is not an int in \[2, 12\]$"):
+            states.check_even(value, "n", 2, 12, Refused)
+
+
 def test_basis_state_takes_numpy_ints():
     for index in (np.int64(5), np.uint8(5)):
         s = make_basis_state(3, index)
@@ -342,6 +360,11 @@ def test_load_rejects_garbage(tmp_path):
         load_state(path)
     path.write_text(json.dumps({"format": "something-else", "n": 2, "amplitudes": []}))
     with pytest.raises(StateError):
+        load_state(path)
+    # a file that is not UTF-8 is named like any other malformed file
+    path.write_text("{}", encoding="utf-16")
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    with pytest.raises(StateError, match=f"^malformed state file {re.escape(str(path))}: .*utf-8"):
         load_state(path)
 
 
