@@ -12,9 +12,11 @@ tangent gradient at z/|z| is within ``GRAD_TOL`` ("converged"), at
 
 Restarts run in groups of ``purity._one_block_rows(n)`` consecutive
 restarts.  A group descends as one (R, 2^(n+1)) real array, so every numpy
-call serves all its restarts.  Each row keeps its own correction pairs, step
-length and stop, and leaves the stack when it stops, so a restart ends bit
-for bit as it would alone.  The pairs are stored newest first, at most
+call serves all its restarts; a backtracking trial is written straight into
+the step of the rows still searching.  Each row keeps its own correction
+pairs, step length and stop, and leaves the stack with its record (unit
+vector, value, steps, stop, gradient norm) when it stops, so a restart ends
+bit for bit as it would alone.  The pairs are stored newest first, at most
 ``_MEMORY`` slots for the whole stack: slot j holds each row's j-th newest
 pair, or zeros where the row has none, so the two-loop walks at most
 ``_MEMORY`` slots.
@@ -92,21 +94,17 @@ class SearchResult:
 def gradient_check(n: int, seed: int) -> float:
     """Max deviation between the analytic gradient and central finite
     differences, at step ``GRADIENT_CHECK_STEP``, over all 2^(n+1) real
-    parameters at a Haar-random point."""
+    parameters at a Haar-random point.  The 2^(n+1) perturbed points of each
+    sign form one stack, so the check is two stacked objective calls."""
     n = check_even(n, "n", 2, 6, SearchError)
     seed = check_int(seed, "seed", 0, SEED_LIMIT - 1, SearchError)
-    amps = random_state(n, seed).amplitudes.copy()
+    amps = random_state(n, seed).amplitudes
     _, grad = _mean_purity_and_grad(amps)
-    analytic = grad.view(np.float64)  # (re, im) pairs
-    worst = 0.0
-    for j in range(analytic.size):
-        delta = np.zeros(analytic.size)
-        delta[j] = GRADIENT_CHECK_STEP
-        delta = delta.view(np.complex128)
-        f_plus, _ = _mean_purity_and_grad(amps + delta)
-        f_minus, _ = _mean_purity_and_grad(amps - delta)
-        worst = max(worst, abs((f_plus - f_minus) / (2 * GRADIENT_CHECK_STEP) - analytic[j]))
-    return worst
+    delta = (GRADIENT_CHECK_STEP * np.eye(2 << n)).view(np.complex128)
+    f_plus, _ = _mean_purity_and_grad(amps + delta)
+    f_minus, _ = _mean_purity_and_grad(amps - delta)
+    numeric = (f_plus - f_minus) / (2 * GRADIENT_CHECK_STEP)
+    return float(np.abs(numeric - grad.view(np.float64)).max())
 
 
 def _scale_free(x: np.ndarray) -> tuple[list[float], np.ndarray, list[float]]:
@@ -159,18 +157,17 @@ class _Pairs:
             1.0 / v if v > eps * (math.sqrt(a) * math.sqrt(b)) else 0.0
             for v, a, b in zip(sy, ss, yy)
         ]
-        accepted = [r != 0.0 for r in rho]
-        if not any(accepted):
+        if not any(rho):
             return
         for i, r in enumerate(rho):
             if r:
                 self.scale[i, 0] = r * yy[i]
         column = np.array(rho)[:, None]
         new = (s, y, column * s, column * y)  # rho s = rho y = 0 where refused
-        if all(accepted):
+        if all(rho):
             self.slots = [new, *self.slots][:_MEMORY]
         else:  # a refusing row keeps its slots where they are
-            mask = np.array(accepted)[:, None]
+            mask = column != 0.0
             self.slots = [
                 tuple(np.where(mask, a, b) for a, b in zip(newer, older))
                 for newer, older in zip([new, *self.slots][:_MEMORY], [*self.slots, new])
@@ -238,15 +235,12 @@ def _run_restarts(starts: np.ndarray, max_iters: int) -> list[tuple]:
             if not pending:
                 break
             t *= 0.5
-            trial = x[pending] + t * d[pending]
-            f_t, g_t, g_norm_t = _scale_free(trial)
-            ok = [v <= bound[i] + _DECREASE_C * t * slope[i] for i, v in zip(pending, f_t)]
-            hit = [j for j, accepted in enumerate(ok) if accepted]
-            rows = [pending[j] for j in hit]
-            x_new[rows], g_new[rows] = trial[hit], g_t[hit]
-            for i, j in zip(rows, hit):
-                f_new[i], g_norm_new[i] = f_t[j], g_norm_t[j]
-            pending = [i for i, accepted in zip(pending, ok) if not accepted]
+            # a rejected trial is overwritten by the next or retired with its row
+            x_new[pending] = x[pending] + t * d[pending]
+            f_t, g_new[pending], g_norm_t = _scale_free(x_new[pending])
+            for i, v, gn in zip(pending, f_t, g_norm_t):
+                f_new[i], g_norm_new[i] = v, gn
+            pending = [i for i in pending if not f_new[i] <= bound[i] + _DECREASE_C * t * slope[i]]
         if pending:  # no trial step decreases F
             exhausted = set(pending)
             stops = [STOP_LINE_SEARCH if i in exhausted else None for i in range(len(live))]
@@ -270,21 +264,15 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
     n = config.n
     t0 = time.perf_counter()
     group = _one_block_rows(n)
-    values, iterations, stops, grad_norms = [], [], [], []
-    best_x, best_f = None, np.inf
+    runs = []
     for first in range(0, config.restarts, group):
         starts = np.stack([
             random_state(n, config.seed, _RESTART_STREAM + r).amplitudes
             for r in range(first, min(first + group, config.restarts))
         ])
-        for x, f, iters, stop, g_norm in _run_restarts(starts, config.max_iters):
-            values.append(f)
-            iterations.append(iters)
-            stops.append(stop)
-            grad_norms.append(g_norm)
-            if f < best_f:
-                best_x, best_f = x, f
-    best_state = _normalized(n, best_x)
+        runs += _run_restarts(starts, config.max_iters)
+    xs, values, iterations, stops, grad_norms = zip(*runs)
+    best_state = _normalized(n, xs[values.index(min(values))])  # the first best restart
     best_value = average_balanced_purity(best_state)
     floor = 2.0 ** -(n // 2)
     if best_value < floor - 1e-9:
@@ -293,9 +281,9 @@ def minimize_average_purity(config: SearchConfig) -> SearchResult:
         config=config,
         best_state=best_state,
         best_value=best_value,
-        restart_values=tuple(values),
-        restart_iterations=tuple(iterations),
-        restart_stops=tuple(stops),
-        restart_grad_norms=tuple(grad_norms),
+        restart_values=values,
+        restart_iterations=iterations,
+        restart_stops=stops,
+        restart_grad_norms=grad_norms,
         wall_time=time.perf_counter() - t0,
     )

@@ -91,8 +91,7 @@ def make_basis_state(n: int, index: int) -> QState:
 
 def make_ghz(n: int) -> QState:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    if check_qubit_count(n) < 2:
-        raise StateError(f"GHZ state needs n >= 2, got {n}")
+    n = check_int(n, "qubit count", 2, MAX_QUBITS)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return QState(n, amps)
@@ -100,8 +99,7 @@ def make_ghz(n: int) -> QState:
 
 def make_w(n: int) -> QState:
     """Equal superposition of all single-excitation basis states."""
-    if check_qubit_count(n) < 2:
-        raise StateError(f"W state needs n >= 2, got {n}")
+    n = check_int(n, "qubit count", 2, MAX_QUBITS)
     amps = np.zeros(1 << n, dtype=np.complex128)
     for k in range(n):
         amps[1 << k] = 1.0 / math.sqrt(n)
@@ -167,7 +165,8 @@ def check_even(value, name: str, lo: int, hi: int | None, error=StateError) -> i
 
 def check_qubit_count(n: int) -> int:
     """``n`` as an int in [1, MAX_QUBITS], else a StateError (``check_int``);
-    every state maker calls this before it allocates 2^n amplitudes."""
+    every state maker checks n this way before it allocates 2^n amplitudes
+    (``make_ghz`` and ``make_w`` with a lower bound of 2)."""
     return check_int(n, "qubit count", 1, MAX_QUBITS)
 
 

@@ -297,8 +297,23 @@ def test_fit_and_verify_seed_range():
     # the held-out streams of the largest seed still form valid keys
     _, diag = fit_coefficients(4, samples=24, seed=2**64 - 1, holdout_samples=2)
     assert diag.holdout_max_residual <= 1e-9
-    with pytest.raises(StateError, match="seed -1 "):
+    with pytest.raises(ModelError, match="seed -1 "):
         verify_identity(4, samples=1, seed=-1, tol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+@pytest.mark.parametrize(
+    "call",
+    [lambda seed: verify_identity(12, 1, seed, 1e-9), lambda seed: fit_coefficients(10, 60, seed)],
+    ids=["verify_identity", "fit_coefficients"],
+)
+def test_fit_and_verify_check_the_seed_before_any_table(seed, call, monkeypatch):
+    def no_tables(states):
+        raise AssertionError("a subset-purity table was built before the seed was checked")
+
+    monkeypatch.setattr(decomposition, "subset_purity_tables", no_tables)
+    with pytest.raises(ModelError, match=f"^seed {seed!r} is not an int in \\[0, {2**64 - 1}\\]$"):
+        call(seed)
 
 
 def test_snap_rational():

@@ -19,6 +19,7 @@ from mmeslab.search import (
     GRAD_TOL,
     STOP_CONVERGED,
     STOP_ITERATION_CAP,
+    STOP_LINE_SEARCH,
     SearchConfig,
     SearchError,
     _Pairs,
@@ -179,6 +180,16 @@ def test_gradient_check(n):
     assert gradient_check(n, seed=7) <= 1e-6
 
 
+def test_gradient_check_fails_on_a_wrong_gradient(monkeypatch):
+    # a gradient off by 0.1 % while the values stay exact must not pass
+    def scaled(amps):
+        value, grad = _mean_purity_and_grad(amps)
+        return value, grad * (1 + 1e-3)
+
+    monkeypatch.setattr(search, "_mean_purity_and_grad", scaled)
+    assert gradient_check(4, 0) > 1e-6
+
+
 def test_gradient_check_rejects_large_n():
     with pytest.raises(SearchError):
         gradient_check(8, seed=0)
@@ -290,6 +301,26 @@ def test_restart_groups_do_not_change_restarts(n, counts, alone):
         start = random_state(n, 0, _RESTART_STREAM + r).amplitudes
         ((_, *got),) = _run_restarts(start[None], 2000)
         assert tuple(got) == wants[r]
+
+
+def test_line_search_exhausted_inside_a_stack(monkeypatch):
+    # with one trial step per line search, restarts of one stack stop as
+    # exhausted between restarts that converge
+    monkeypatch.setattr(search, "_MAX_BACKTRACKS", 1)
+    config = SearchConfig(n=4, restarts=8, max_iters=300, seed=5)
+    result = minimize_average_purity(config)
+    assert result.restart_stops == (
+        (STOP_LINE_SEARCH,) * 3 + (STOP_CONVERGED,) * 3 + (STOP_LINE_SEARCH,) * 2
+    )
+    assert result.restart_iterations == (11, 16, 11, 25, 26, 27, 16, 6)
+    starts = np.stack([
+        random_state(4, 5, _RESTART_STREAM + r).amplitudes for r in range(config.restarts)
+    ])
+    stacked = _run_restarts(starts, config.max_iters)
+    for start, (u, *record) in zip(starts, stacked):
+        ((u_alone, *alone),) = _run_restarts(start[None], config.max_iters)
+        assert u_alone.tobytes() == u.tobytes()
+        assert alone == record
 
 
 def _serial_two_loop(g, pairs):

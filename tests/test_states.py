@@ -109,7 +109,7 @@ def test_ghz():
     np.testing.assert_allclose(
         bell.amplitudes, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)]
     )
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match=r"^qubit count 1 is not an int in \[2, 16\]$"):
         make_ghz(1)
 
 
@@ -119,7 +119,7 @@ def test_w():
     w4 = make_w(4)
     nz = np.flatnonzero(w4.amplitudes)
     assert sorted(nz) == [1, 2, 4, 8]
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match=r"^qubit count 1 is not an int in \[2, 16\]$"):
         make_w(1)
 
 
