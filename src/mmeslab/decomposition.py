@@ -36,7 +36,7 @@ from .purity import balanced_purities, subset_purities, subset_purity_tables
 # ``average_balanced_purity`` under these names.
 from .pauli import weight_sums  # noqa: F401
 from .purity import average_balanced_purity  # noqa: F401
-from .states import SEED_LIMIT, STREAM_MULTIPLIER, QState, check_even, check_int, random_state
+from .states import STREAM_MULTIPLIER, QState, check_even, check_int, check_seed, random_state
 from .states import make_basis_state, make_ghz, make_w
 
 # Held-out fit states are the streams of seed + 0x5EED, written as streams
@@ -280,7 +280,7 @@ def verify_identity(n: int, samples: int, seed: int, tol: float) -> Verification
     The states are drawn lazily and their subset-purity tables computed a
     chunk at a time (``subset_purity_tables``).
     """
-    seed = check_int(seed, "seed", 0, SEED_LIMIT - 1, ModelError)
+    seed = check_seed(seed, ModelError)
     # a bool is an int (True would pass as a tolerance of 1); written so
     # that a NaN tol fails
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < inf:
@@ -356,7 +356,7 @@ def fit_coefficients(
     (``subset_purity_tables``), so no sample set is held in memory.  At
     n = 14, 36 samples snap every coefficient to ``derived_model(14)``.
     """
-    seed = check_int(seed, "seed", 0, SEED_LIMIT - 1, ModelError)
+    seed = check_seed(seed, ModelError)
     n = check_even(n, "n", 2, None, ModelError)
     samples = check_int(samples, "samples", 4 * (n // 2 + 2), None, ModelError)
     holdout_samples = check_int(holdout_samples, "holdout_samples", 1, None, ModelError)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .purity import _mean_purity_and_grad, _one_block_rows, average_balanced_purity
-from .states import SEED_LIMIT, QState, _normalized, check_even, check_int, random_state
+from .states import QState, _normalized, check_even, check_int, check_seed, random_state
 
 _MEMORY = 8  # L-BFGS correction pairs kept
 _DECREASE_C = 1e-4  # sufficient-decrease constant of the line search
@@ -70,13 +70,10 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_even(self.n, "n", 2, 12, SearchError))
-        for name, lo, hi in (
-            ("restarts", 1, None),
-            ("max_iters", 1, None),
-            ("seed", 0, SEED_LIMIT - 1),
-        ):
-            value = check_int(getattr(self, name), name, lo, hi, SearchError)
+        for name in ("restarts", "max_iters"):
+            value = check_int(getattr(self, name), name, 1, None, SearchError)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", check_seed(self.seed, SearchError))
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def gradient_check(n: int, seed: int) -> float:
     parameters at a Haar-random point.  The 2^(n+1) perturbed points of each
     sign form one stack, so the check is two stacked objective calls."""
     n = check_even(n, "n", 2, 6, SearchError)
-    seed = check_int(seed, "seed", 0, SEED_LIMIT - 1, SearchError)
+    seed = check_seed(seed, SearchError)
     amps = random_state(n, seed).amplitudes
     _, grad = _mean_purity_and_grad(amps)
     delta = (GRADIENT_CHECK_STEP * np.eye(2 << n)).view(np.complex128)

@@ -2,14 +2,16 @@
 
 Convention used everywhere in this package: qubit 1 is the most significant
 bit of the basis index, so for ``make_basis_state(n, i)`` qubit k carries the
-bit ``(i >> (n - k)) & 1``.  Amplitude arrays are immutable after
-construction and safe to share between threads.
+bit ``(i >> (n - k)) & 1``.  A ``QState`` copies its amplitudes into an
+array of its own and freezes that copy, so it never aliases (or freezes) the
+caller's array and is safe to share between threads.
 
 Every integer argument of the package (qubit counts, positions, indices,
 weights, sample counts, seeds) passes through ``check_int``: a Python or
 numpy int in range is kept as a Python int, and anything else, a bool or a
 float equal to an int included, is refused with the caller's error class.
-An n that must be even passes ``check_even``, the package's one parity check.
+An n that must be even passes ``check_even``, the package's one parity check,
+and a seed passes ``check_seed``, its one seed rule.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ class QState:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_qubit_count(self.n))
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C", ndmin=1)
         if amps.shape != (1 << self.n,):
             raise StateError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape}"
@@ -170,10 +172,10 @@ def check_qubit_count(n: int) -> int:
     return check_int(n, "qubit count", 1, MAX_QUBITS)
 
 
-def check_seed(seed: int) -> int:
-    """``seed`` as an int in [0, 2**64), else a StateError that names it
+def check_seed(seed: int, error=StateError) -> int:
+    """``seed`` as an int in [0, 2**64), else ``error`` that names it
     (``check_int``).  Every seed a caller passes in is checked here."""
-    return check_int(seed, "seed", 0, SEED_LIMIT - 1)
+    return check_int(seed, "seed", 0, SEED_LIMIT - 1, error)
 
 
 def random_state(n: int, seed: int, stream: int | None = None) -> QState:
@@ -207,7 +209,7 @@ def permute_qubits(state: QState, perm: Sequence[int]) -> QState:
         raise StateError(f"perm must be a permutation of 1..{state.n}, got {perm}")
     ten = state.amplitudes.reshape((2,) * state.n)
     out = ten.transpose([p - 1 for p in perm]).reshape(state.dim)
-    return QState(state.n, out.copy())
+    return QState(state.n, out)
 
 
 def apply_single_qubit_unitary(state: QState, qubit: int, u: np.ndarray) -> QState:

@@ -383,15 +383,17 @@ def test_pretty_search_labels_derived_constant(monkeypatch, capsys):
     [
         (["state", "--kind", "random", "--n", "4", "--seed", "-1", "--out", "x.json"], "-1"),
         (["search", "--n", "2", "--seed", str(2**64)], str(2**64)),
+        (["verify", "--n", "4", "--samples", "1", "--seed", str(2**64)], str(2**64)),
+        (["fit", "--n", "4", "--seed", "-1"], "-1"),
     ],
-    ids=["state-negative", "search-2**64"],
+    ids=["state-negative", "search-2**64", "verify-2**64", "fit-negative"],
 )
 def test_seed_out_of_range(tmp_path, monkeypatch, capsys, argv, seed):
     monkeypatch.chdir(tmp_path)
     code, doc, err = run(capsys, *argv)
     assert code == 2
     assert doc is None
-    assert f"seed {seed} " in err
+    assert err.startswith(f"error: seed {seed} ") and len(err.splitlines()) == 1
     assert not (tmp_path / "x.json").exists()
 
 

@@ -195,6 +195,12 @@ def test_gradient_check_rejects_large_n():
         gradient_check(8, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_gradient_check_rejects_seed_out_of_range(seed):
+    with pytest.raises(SearchError, match=f"^seed {seed} is not an int in \\[0, {2**64 - 1}\\]$"):
+        gradient_check(2, seed)
+
+
 def test_search_n2_reaches_bell_floor():
     result = minimize_average_purity(SearchConfig(n=2, restarts=4, seed=0))
     assert result.best_value == pytest.approx(0.5, abs=1e-6)

@@ -234,6 +234,19 @@ def test_amplitudes_immutable():
         s.amplitudes[0] = 0.0
 
 
+def test_state_does_not_alias_its_input():
+    # a complex128 view that is C-contiguous is the case a copy-on-need would alias
+    base = np.zeros(8, dtype=np.complex128)
+    base[2] = 1.0
+    view = base[2:6]
+    state = QState(2, view)
+    base[2:6] = 3.0
+    np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+    assert np.linalg.norm(state.amplitudes) == 1.0
+    assert view.flags.writeable and not state.amplitudes.flags.writeable
+    assert not np.shares_memory(state.amplitudes, base)
+
+
 def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "s.json"
     s = random_state(4, 7)
